@@ -135,7 +135,7 @@ fn main() {
         let phases = Wavefronts::compute(&g).unwrap().num_wavefronts();
         let plan =
             TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
-        let m = Preconditioner::Ilu(plan);
+        let m = Preconditioner::ilu(plan).expect("ILU preconditioner");
         let mut x = vec![0.0; n];
         let stats = gmres(
             &pool,

@@ -59,7 +59,7 @@ fn main() {
             rtpl::krylov::Sorting::Global,
         )
         .unwrap();
-        let m = Preconditioner::Ilu(plan);
+        let m = Preconditioner::ilu(plan).expect("ILU preconditioner");
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.017).sin()).collect();
         let mut x = vec![0.0; n];
         let cfg = KrylovConfig {

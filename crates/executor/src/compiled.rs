@@ -36,22 +36,22 @@
 //!   executions of the same plan concurrently** — exactly what a plan cache
 //!   serving a Zipf-skewed request mix needs.
 //!
-//! All four [`ExecPolicy`] disciplines plus the sequential reference are
-//! available, and every one performs bit-identical per-row arithmetic
-//! (subtract operand products in spec order, then multiply the scale), so
-//! results are bit-exact across policies, processor counts, and against the
-//! uncompiled [`crate::PlannedLoop`] path.
+//! A compiled plan is a layout, not an executor: all four
+//! [`crate::ExecPolicy`] disciplines run it through the same cores as a
+//! [`crate::PlannedLoop`]. Every policy and the sequential sweeps perform
+//! bit-identical per-row arithmetic (subtract operand products in spec
+//! order, then multiply the scale), so results are bit-exact across
+//! policies and processor counts.
 
-use crate::barrier::SpinBarrier;
-use crate::cancel::{CancelToken, ExecError, InterruptCell, CHECK_STRIDE};
-use crate::planned::PlannedLoop;
+use crate::cancel::{CancelToken, ExecError};
+use crate::layout::Layout;
+use crate::planned::{LoopScratch, PlannedLoop};
 use crate::pool::WorkerPool;
 use crate::report::ExecReport;
-use crate::shared::{PublishedSource, SharedVec, WaitingSource};
-use crate::ValueSource;
+use crate::shared::SharedVec;
+use crate::{DirectSource, LoopBody, ValueSource};
 use rtpl_inspector::BarrierPlan;
 use rtpl_sparse::wire::{WireError, WireReader, WireResult, WireWriter};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Errors from compiling or loading a [`CompiledPlan`].
@@ -231,7 +231,6 @@ pub struct CompiledPlan {
     /// Caller output index of plan-space row `i`.
     out_map: Vec<u32>,
     barriers: BarrierPlan,
-    full_barriers: BarrierPlan,
 }
 
 /// Borrowed read-only view of a [`CompiledPlan`]'s layout arrays, produced
@@ -277,31 +276,18 @@ pub struct LayoutView<'a> {
     pub barriers: &'a BarrierPlan,
 }
 
-/// The mutable half of a compiled execution: the epoch-stamped shared
-/// vector, per-processor iteration counters, the gathered operand values
-/// and scales, and the sequential work buffer. Lease one per concurrent
-/// run; the [`CompiledPlan`] itself is never written after compilation.
+/// The mutable half of a compiled execution: the parallel run state (the
+/// epoch-stamped shared vector and per-processor iteration counters), the
+/// gathered operand values and scales, and the sequential work buffer.
+/// Lease one per concurrent run; the [`CompiledPlan`] itself is never
+/// written after compilation.
 #[derive(Debug)]
 pub struct RunScratch {
-    shared: SharedVec,
-    iters: Vec<AtomicU64>,
+    run: LoopScratch,
     vals: Vec<f64>,
     scale: Vec<f64>,
     seq: Vec<f64>,
     loaded: bool,
-}
-
-impl RunScratch {
-    fn new(plan: &CompiledPlan) -> Self {
-        RunScratch {
-            shared: SharedVec::new(plan.n),
-            iters: (0..plan.nprocs).map(|_| AtomicU64::new(0)).collect(),
-            vals: vec![0.0; plan.val_src.len()],
-            scale: vec![1.0; plan.n],
-            seq: vec![0.0; plan.n],
-            loaded: false,
-        }
-    }
 }
 
 impl CompiledPlan {
@@ -446,7 +432,6 @@ impl CompiledPlan {
             pos_of_row,
             out_map: spec.out.clone(),
             barriers: plan.barrier_plan().clone(),
-            full_barriers: BarrierPlan::full(num_phases),
         })
     }
 
@@ -486,7 +471,13 @@ impl CompiledPlan {
 
     /// A fresh scratch sized for this plan.
     pub fn scratch(&self) -> RunScratch {
-        RunScratch::new(self)
+        RunScratch {
+            run: LoopScratch::new(self.n, self.nprocs),
+            vals: vec![0.0; self.val_src.len()],
+            scale: vec![1.0; self.n],
+            seq: vec![0.0; self.n],
+            loaded: false,
+        }
     }
 
     /// Read-only view of every internal layout array, for external auditing
@@ -551,44 +542,39 @@ impl CompiledPlan {
         Ok(())
     }
 
-    /// The shared inner kernel: subtract operand products in spec order,
-    /// 4-wide unrolled with a scalar tail. The lanes compute their products
-    /// independently but the subtraction chain is the rolled loop's exact
-    /// order, so the result is bit-identical to `acc -= v*x` one at a time.
-    #[inline]
-    fn dot_sub<S: ValueSource>(&self, t: usize, mut acc: f64, vals: &[f64], src: &S) -> f64 {
+    /// The one inner kernel: subtract operand products in spec order, 4-wide
+    /// unrolled with a scalar tail; `coef` maps a value slot's `coefs` entry
+    /// to its coefficient. The lanes compute their products independently
+    /// but the subtraction chain is the rolled loop's exact order, so the
+    /// result is bit-identical to `acc -= v*x` one at a time.
+    #[inline(always)]
+    fn dot_sub<C: Copy, S: ValueSource>(
+        &self,
+        t: usize,
+        mut acc: f64,
+        coefs: &[C],
+        coef: impl Fn(C) -> f64,
+        src: &S,
+    ) -> f64 {
         let vlo = self.val_ptr[t];
         let len = self.val_ptr[t + 1] - vlo;
         let olo = self.op_start[t] as usize;
         let ops = &self.ops[olo..olo + len];
-        let vals = &vals[vlo..vlo + len];
+        let coefs = &coefs[vlo..vlo + len];
         let mut k = 0usize;
         while k + 4 <= len {
-            let p0 = vals[k] * src.get(ops[k] as usize);
-            let p1 = vals[k + 1] * src.get(ops[k + 1] as usize);
-            let p2 = vals[k + 2] * src.get(ops[k + 2] as usize);
-            let p3 = vals[k + 3] * src.get(ops[k + 3] as usize);
+            let p0 = coef(coefs[k]) * src.get(ops[k] as usize);
+            let p1 = coef(coefs[k + 1]) * src.get(ops[k + 1] as usize);
+            let p2 = coef(coefs[k + 2]) * src.get(ops[k + 2] as usize);
+            let p3 = coef(coefs[k + 3]) * src.get(ops[k + 3] as usize);
             acc = (((acc - p0) - p1) - p2) - p3;
             k += 4;
         }
         while k < len {
-            acc -= vals[k] * src.get(ops[k] as usize);
+            acc -= coef(coefs[k]) * src.get(ops[k] as usize);
             k += 1;
         }
         acc
-    }
-
-    #[inline]
-    fn eval<S: ValueSource>(
-        &self,
-        t: usize,
-        vals: &[f64],
-        scale: &[f64],
-        rhs: &[f64],
-        src: &S,
-    ) -> f64 {
-        let acc = self.dot_sub(t, rhs[self.rhs[t] as usize], vals, src);
-        acc * scale[t]
     }
 
     fn check_run(&self, scratch: &RunScratch, rhs: &[f64], out: &[f64]) {
@@ -601,24 +587,12 @@ impl CompiledPlan {
             self.val_src.len(),
             "scratch holds values for another plan's operand layout"
         );
-        assert_eq!(
-            scratch.shared.len(),
-            self.n,
-            "scratch sized for another plan"
-        );
-        assert_eq!(
-            scratch.iters.len(),
-            self.nprocs,
+        assert!(
+            scratch.run.n() == self.n && scratch.run.nprocs() == self.nprocs,
             "scratch sized for another plan"
         );
         assert_eq!(rhs.len(), self.n);
         assert_eq!(out.len(), self.n);
-    }
-
-    fn gather_out(&self, scratch: &RunScratch, epoch: u32, out: &mut [f64]) {
-        for (i, &o) in self.out_map.iter().enumerate() {
-            out[o as usize] = scratch.shared.get_published_at(i, epoch);
-        }
     }
 
     /// Executes the compiled loop under `policy`. The scratch is borrowed
@@ -653,207 +627,24 @@ impl CompiledPlan {
         out: &mut [f64],
         cancel: Option<&CancelToken>,
     ) -> Result<ExecReport, ExecError> {
-        assert_eq!(
-            self.nprocs,
-            pool.nworkers(),
-            "compiled layout processor count must match the pool"
-        );
         self.check_run(scratch, rhs, out);
-        match policy {
-            crate::ExecPolicy::SelfExecuting => {
-                self.run_self_executing(pool, scratch, rhs, out, cancel)
-            }
-            crate::ExecPolicy::PreScheduled => {
-                self.run_pre_scheduled(pool, &self.full_barriers, scratch, rhs, out, cancel)
-            }
-            crate::ExecPolicy::PreScheduledElided => {
-                self.run_pre_scheduled(pool, &self.barriers, scratch, rhs, out, cancel)
-            }
-            crate::ExecPolicy::Doacross => {
-                assert!(
-                    self.forward,
-                    "the doacross policy requires a forward dependence graph"
-                );
-                self.run_doacross(pool, scratch, rhs, out, cancel)
-            }
-        }
-    }
-
-    fn run_self_executing(
-        &self,
-        pool: &WorkerPool,
-        scratch: &mut RunScratch,
-        rhs: &[f64],
-        out: &mut [f64],
-        cancel: Option<&CancelToken>,
-    ) -> Result<ExecReport, ExecError> {
-        let sc: &RunScratch = scratch;
-        let epoch = sc.shared.begin_run();
-        let stalls = AtomicU64::new(0);
-        let interrupted = InterruptCell::new();
-        let t0 = Instant::now();
-        let ran = pool.run(&|p| {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if rtpl_sparse::failpoint::should_fail("exec.body_panic") {
-                    panic!("injected body panic (fail point exec.body_panic)");
-                }
-                let src = WaitingSource::new(&sc.shared, epoch);
-                let mut count = 0u64;
-                for t in self.proc_ptr[p]..self.proc_ptr[p + 1] {
-                    if (count as usize).is_multiple_of(CHECK_STRIDE) {
-                        if let Some(cause) = cancel.and_then(CancelToken::check) {
-                            interrupted.set(cause);
-                            sc.shared.poison();
-                            return;
-                        }
-                    }
-                    let v = self.eval(t, &sc.vals, &sc.scale, rhs, &src);
-                    sc.shared.publish_at(self.target[t] as usize, v, epoch);
-                    count += 1;
-                }
-                sc.iters[p].store(count, Ordering::Relaxed);
-                stalls.fetch_add(src.stalls(), Ordering::Relaxed);
-            }));
-            if let Err(e) = outcome {
-                sc.shared.poison();
-                std::panic::resume_unwind(e);
-            }
-        });
-        let wall = t0.elapsed();
-        if let Some(cause) = interrupted.get() {
-            return Err(cause);
-        }
-        ran.map_err(|e| ExecError::BodyPanicked {
-            workers: e.panicked,
-        })?;
-        self.gather_out(sc, epoch, out);
-        Ok(ExecReport {
-            barriers: 0,
-            stalls: stalls.load(Ordering::Relaxed),
-            iters_per_proc: sc.iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            wall,
-        })
-    }
-
-    fn run_pre_scheduled(
-        &self,
-        pool: &WorkerPool,
-        plan: &BarrierPlan,
-        scratch: &mut RunScratch,
-        rhs: &[f64],
-        out: &mut [f64],
-        cancel: Option<&CancelToken>,
-    ) -> Result<ExecReport, ExecError> {
-        let sc: &RunScratch = scratch;
-        let epoch = sc.shared.begin_run();
-        let barrier = SpinBarrier::new(self.nprocs);
-        let stride = self.num_phases + 1;
-        let interrupted = InterruptCell::new();
-        let t0 = Instant::now();
-        let ran = pool.run(&|p| {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if rtpl_sparse::failpoint::should_fail("exec.body_panic") {
-                    panic!("injected body panic (fail point exec.body_panic)");
-                }
-                let src = PublishedSource::new(&sc.shared, epoch);
-                let mut count = 0u64;
-                for w in 0..self.num_phases {
-                    if let Some(cause) = cancel.and_then(CancelToken::check) {
-                        interrupted.set(cause);
-                        barrier.poison();
-                        sc.shared.poison();
-                        return;
-                    }
-                    for t in self.phase_ptr[p * stride + w]..self.phase_ptr[p * stride + w + 1] {
-                        let v = self.eval(t, &sc.vals, &sc.scale, rhs, &src);
-                        sc.shared.publish_at(self.target[t] as usize, v, epoch);
-                        count += 1;
-                    }
-                    if w + 1 < self.num_phases && plan.is_kept(w) {
-                        barrier.wait();
-                    }
-                }
-                sc.iters[p].store(count, Ordering::Relaxed);
-            }));
-            if let Err(e) = outcome {
-                barrier.poison();
-                sc.shared.poison();
-                std::panic::resume_unwind(e);
-            }
-        });
-        let wall = t0.elapsed();
-        if let Some(cause) = interrupted.get() {
-            return Err(cause);
-        }
-        ran.map_err(|e| ExecError::BodyPanicked {
-            workers: e.panicked,
-        })?;
-        self.gather_out(sc, epoch, out);
-        Ok(ExecReport {
-            barriers: plan.count() as u64,
-            stalls: 0,
-            iters_per_proc: sc.iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            wall,
-        })
-    }
-
-    fn run_doacross(
-        &self,
-        pool: &WorkerPool,
-        scratch: &mut RunScratch,
-        rhs: &[f64],
-        out: &mut [f64],
-        cancel: Option<&CancelToken>,
-    ) -> Result<ExecReport, ExecError> {
-        let sc: &RunScratch = scratch;
-        let epoch = sc.shared.begin_run();
-        let stalls = AtomicU64::new(0);
-        let interrupted = InterruptCell::new();
-        let t0 = Instant::now();
-        let ran = pool.run(&|p| {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if rtpl_sparse::failpoint::should_fail("exec.body_panic") {
-                    panic!("injected body panic (fail point exec.body_panic)");
-                }
-                let src = WaitingSource::new(&sc.shared, epoch);
-                let mut count = 0u64;
-                let mut i = p;
-                while i < self.n {
-                    if (count as usize).is_multiple_of(CHECK_STRIDE) {
-                        if let Some(cause) = cancel.and_then(CancelToken::check) {
-                            interrupted.set(cause);
-                            sc.shared.poison();
-                            return;
-                        }
-                    }
-                    let t = self.pos_of_row[i] as usize;
-                    let v = self.eval(t, &sc.vals, &sc.scale, rhs, &src);
-                    sc.shared.publish_at(i, v, epoch);
-                    count += 1;
-                    i += self.nprocs;
-                }
-                sc.iters[p].store(count, Ordering::Relaxed);
-                stalls.fetch_add(src.stalls(), Ordering::Relaxed);
-            }));
-            if let Err(e) = outcome {
-                sc.shared.poison();
-                std::panic::resume_unwind(e);
-            }
-        });
-        let wall = t0.elapsed();
-        if let Some(cause) = interrupted.get() {
-            return Err(cause);
-        }
-        ran.map_err(|e| ExecError::BodyPanicked {
-            workers: e.panicked,
-        })?;
-        self.gather_out(sc, epoch, out);
-        Ok(ExecReport {
-            barriers: 0,
-            stalls: stalls.load(Ordering::Relaxed),
-            iters_per_proc: sc.iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-            wall,
-        })
+        let kernel = Kernel {
+            plan: self,
+            vals: &scratch.vals,
+            scale: &scratch.scale,
+            rhs,
+        };
+        crate::planned::run_policy(
+            pool,
+            policy,
+            self,
+            &self.barriers,
+            self.forward,
+            &scratch.run,
+            &kernel,
+            out,
+            cancel,
+        )
     }
 
     /// Executes the compiled loop sequentially in phase-major order (a
@@ -868,29 +659,19 @@ impl CompiledPlan {
         out: &mut [f64],
     ) -> ExecReport {
         self.check_run(scratch, rhs, out);
-        let stride = self.num_phases + 1;
-        let t0 = Instant::now();
         let RunScratch {
             seq, vals, scale, ..
         } = scratch;
-        for w in 0..self.num_phases {
-            for p in 0..self.nprocs {
-                for t in self.phase_ptr[p * stride + w]..self.phase_ptr[p * stride + w + 1] {
-                    let src = crate::DirectSource(seq);
-                    let acc = self.dot_sub(t, rhs[self.rhs[t] as usize], vals, &src);
-                    seq[self.target[t] as usize] = acc * scale[t];
-                }
-            }
-        }
-        for (i, &o) in self.out_map.iter().enumerate() {
-            out[o as usize] = seq[i];
-        }
-        ExecReport {
-            barriers: 0,
-            stalls: 0,
-            iters_per_proc: vec![self.n as u64],
-            wall: t0.elapsed(),
-        }
+        let kernel = Kernel {
+            plan: self,
+            vals,
+            scale,
+            rhs,
+        };
+        let Ok(report) = self.sweep(seq, out, |t, seq| {
+            Ok::<_, std::convert::Infallible>(kernel.eval(t, &DirectSource(seq)))
+        });
+        report
     }
 
     /// Sequential execution with the value gather **fused into the sweep**:
@@ -923,44 +704,42 @@ impl CompiledPlan {
         assert_eq!(scratch.seq.len(), self.n, "scratch sized for another plan");
         assert_eq!(rhs.len(), self.n);
         assert_eq!(out.len(), self.n);
-        let stride = self.num_phases + 1;
-        let t0 = Instant::now();
-        let seq = &mut scratch.seq;
         let recip = self.recip_src.as_deref();
+        self.sweep(&mut scratch.seq, out, |t, seq| {
+            let acc = self.dot_sub(
+                t,
+                rhs[self.rhs[t] as usize],
+                &self.val_src,
+                |s| data[s as usize],
+                &DirectSource(seq),
+            );
+            let Some(srcs) = recip else { return Ok(acc) };
+            let d = data[srcs[t] as usize];
+            if d == 0.0 {
+                return Err(CompiledError::ZeroScale {
+                    row: self.out_map[self.target[t] as usize] as usize,
+                });
+            }
+            Ok(acc * (1.0 / d))
+        })
+    }
+
+    /// Walks the layout in phase-major order (a valid topological order for
+    /// any plan) over the plain work buffer `seq`, storing each position's
+    /// `value`, then scatters the results to `out`. The first error stops
+    /// the walk with `out` unwritten.
+    #[inline(always)]
+    fn sweep<E>(
+        &self,
+        seq: &mut [f64],
+        out: &mut [f64],
+        mut value: impl FnMut(usize, &[f64]) -> Result<f64, E>,
+    ) -> Result<ExecReport, E> {
+        let t0 = Instant::now();
         for w in 0..self.num_phases {
             for p in 0..self.nprocs {
-                for t in self.phase_ptr[p * stride + w]..self.phase_ptr[p * stride + w + 1] {
-                    let vlo = self.val_ptr[t];
-                    let len = self.val_ptr[t + 1] - vlo;
-                    let olo = self.op_start[t] as usize;
-                    let ops = &self.ops[olo..olo + len];
-                    let vs = &self.val_src[vlo..vlo + len];
-                    let mut acc = rhs[self.rhs[t] as usize];
-                    let mut k = 0usize;
-                    while k + 4 <= len {
-                        let p0 = data[vs[k] as usize] * seq[ops[k] as usize];
-                        let p1 = data[vs[k + 1] as usize] * seq[ops[k + 1] as usize];
-                        let p2 = data[vs[k + 2] as usize] * seq[ops[k + 2] as usize];
-                        let p3 = data[vs[k + 3] as usize] * seq[ops[k + 3] as usize];
-                        acc = (((acc - p0) - p1) - p2) - p3;
-                        k += 4;
-                    }
-                    while k < len {
-                        acc -= data[vs[k] as usize] * seq[ops[k] as usize];
-                        k += 1;
-                    }
-                    seq[self.target[t] as usize] = match recip {
-                        Some(srcs) => {
-                            let d = data[srcs[t] as usize];
-                            if d == 0.0 {
-                                return Err(CompiledError::ZeroScale {
-                                    row: self.out_map[self.target[t] as usize] as usize,
-                                });
-                            }
-                            acc * (1.0 / d)
-                        }
-                        None => acc,
-                    };
+                for t in self.positions(p, w) {
+                    seq[self.target[t] as usize] = value(t, seq)?;
                 }
             }
         }
@@ -968,10 +747,9 @@ impl CompiledPlan {
             out[o as usize] = seq[i];
         }
         Ok(ExecReport {
-            barriers: 0,
-            stalls: 0,
             iters_per_proc: vec![self.n as u64],
             wall: t0.elapsed(),
+            ..ExecReport::default()
         })
     }
 
@@ -1130,8 +908,55 @@ impl CompiledPlan {
             pos_of_row,
             out_map,
             barriers,
-            full_barriers: BarrierPlan::full(num_phases),
         })
+    }
+}
+
+/// A compiled plan's per-position value over one scratch's gathered
+/// values: the body the discipline cores run for [`CompiledPlan::try_run`].
+struct Kernel<'a> {
+    plan: &'a CompiledPlan,
+    vals: &'a [f64],
+    scale: &'a [f64],
+    rhs: &'a [f64],
+}
+
+impl LoopBody for Kernel<'_> {
+    #[inline]
+    fn eval<S: ValueSource>(&self, t: usize, src: &S) -> f64 {
+        let plan = self.plan;
+        let acc = plan.dot_sub(t, self.rhs[plan.rhs[t] as usize], self.vals, |v| v, src);
+        acc * self.scale[t]
+    }
+}
+
+impl Layout for CompiledPlan {
+    type Positions<'a> = std::ops::Range<usize>;
+
+    fn num_phases(&self) -> usize {
+        self.num_phases
+    }
+
+    #[inline]
+    fn positions(&self, p: usize, w: usize) -> std::ops::Range<usize> {
+        let at = p * (self.num_phases + 1) + w;
+        self.phase_ptr[at]..self.phase_ptr[at + 1]
+    }
+
+    #[inline]
+    fn target(&self, t: usize) -> usize {
+        self.target[t] as usize
+    }
+
+    #[inline]
+    fn position_of(&self, i: usize) -> usize {
+        self.pos_of_row[i] as usize
+    }
+
+    fn finish(&self, shared: &SharedVec, epoch: u32, out: &mut [f64]) {
+        for (i, &o) in self.out_map.iter().enumerate() {
+            out[o as usize] = shared.get_published_at(i, epoch);
+        }
     }
 }
 
@@ -1427,41 +1252,6 @@ mod tests {
             compiled.load_values(&mut scratch, &[0.0]),
             Err(CompiledError::ValueCount { .. })
         ));
-    }
-
-    #[test]
-    fn body_panic_failpoint_is_contained_per_policy() {
-        use crate::cancel::ExecError;
-        use rtpl_sparse::failpoint;
-        let l = laplacian_5pt(7, 7).strict_lower();
-        let n = l.nrows();
-        let b = vec![1.0; n];
-        let plan = plan_for(&l, 2);
-        let compiled = CompiledPlan::compile(&plan, &lower_spec(&l)).unwrap();
-        let mut scratch = compiled.scratch();
-        compiled.load_values(&mut scratch, l.data()).unwrap();
-        let pool = WorkerPool::new(2);
-        let mut expect = vec![0.0; n];
-        compiled.run_sequential(&mut scratch, &b, &mut expect);
-        for policy in ExecPolicy::ALL {
-            failpoint::configure("exec.body_panic", failpoint::Mode::Times(1));
-            let mut out = vec![0.0; n];
-            let err = compiled
-                .try_run(&pool, policy, &mut scratch, &b, &mut out, None)
-                .unwrap_err();
-            assert!(
-                matches!(err, ExecError::BodyPanicked { workers } if workers >= 1),
-                "{policy:?}: {err:?}"
-            );
-            assert!(pool.is_healthy(), "{policy:?}");
-            failpoint::clear("exec.body_panic");
-            // Disarmed, the same scratch produces the exact result again.
-            let mut again = vec![0.0; n];
-            compiled
-                .try_run(&pool, policy, &mut scratch, &b, &mut again, None)
-                .unwrap();
-            assert_eq!(again, expect, "{policy:?}");
-        }
     }
 
     #[test]

@@ -11,81 +11,42 @@
 //! unexecuted index's operands are all complete, and each processor's local
 //! order is increasing, so some processor can always advance.
 
-use crate::cancel::{CancelToken, ExecError, InterruptCell, CHECK_STRIDE};
+use crate::cancel::{CancelToken, ExecError, CHECK_STRIDE};
+use crate::layout::{run_team, Layout, Natural};
+use crate::planned::LoopScratch;
 use crate::pool::WorkerPool;
 use crate::report::ExecReport;
-use crate::shared::{SharedVec, WaitingSource};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use crate::shared::WaitingSource;
 
-/// The doacross loop over caller-provided buffers (see
-/// [`crate::PlannedLoop`] for the reusing caller). Cancellation is
-/// consulted every [`CHECK_STRIDE`] iterations; a body panic or an
-/// observed cancellation poisons the shared vector and surfaces as a
-/// typed [`ExecError`].
-pub(crate) fn doacross_core<F>(
+/// The doacross loop over a caller-provided scratch, generic over the
+/// [`Layout`]: processor `p` computes indices `p, p + nprocs, …` in natural
+/// order, each through the position the layout assigns it. Cancellation is
+/// consulted every [`CHECK_STRIDE`] iterations.
+pub(crate) fn doacross_core<L, F>(
     pool: &WorkerPool,
-    n: usize,
-    shared: &SharedVec,
-    iters: &[AtomicU64],
+    layout: &L,
+    scratch: &LoopScratch,
     body: &F,
     out: &mut [f64],
     cancel: Option<&CancelToken>,
 ) -> Result<ExecReport, ExecError>
 where
+    L: Layout,
     F: for<'s> Fn(usize, &WaitingSource<'s>) -> f64 + Sync,
 {
-    assert_eq!(out.len(), n);
-    assert_eq!(shared.len(), n);
-    assert_eq!(
-        iters.len(),
-        pool.nworkers(),
-        "planned processor count must match the pool"
-    );
-    let nprocs = pool.nworkers();
-    let epoch = shared.begin_run();
-    let stalls = AtomicU64::new(0);
-    let interrupted = InterruptCell::new();
-    let t0 = Instant::now();
-    let ran = pool.run(&|p| {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let src = WaitingSource::new(shared, epoch);
-            let mut count = 0u64;
-            let mut i = p;
-            while i < n {
-                if (count as usize).is_multiple_of(CHECK_STRIDE) {
-                    if let Some(cause) = cancel.and_then(CancelToken::check) {
-                        interrupted.set(cause);
-                        shared.poison();
-                        return;
-                    }
-                }
-                let v = body(i, &src);
-                shared.publish_at(i, v, epoch);
-                count += 1;
-                i += nprocs;
+    let (n, nprocs) = (scratch.n(), pool.nworkers());
+    run_team(pool, layout, scratch, None, cancel, out, |p, team| {
+        let src = WaitingSource::new(team.shared, team.epoch);
+        let mut count = 0u64;
+        for i in (p..n).step_by(nprocs) {
+            if (count as usize).is_multiple_of(CHECK_STRIDE) && team.cancelled() {
+                return None;
             }
-            iters[p].store(count, Ordering::Relaxed);
-            stalls.fetch_add(src.stalls(), Ordering::Relaxed);
-        }));
-        if let Err(e) = outcome {
-            shared.poison();
-            std::panic::resume_unwind(e);
+            let v = body(layout.position_of(i), &src);
+            team.shared.publish_at(i, v, team.epoch);
+            count += 1;
         }
-    });
-    let wall = t0.elapsed();
-    if let Some(cause) = interrupted.get() {
-        return Err(cause);
-    }
-    ran.map_err(|e| ExecError::BodyPanicked {
-        workers: e.panicked,
-    })?;
-    shared.copy_into_at(out, epoch);
-    Ok(ExecReport {
-        barriers: 0,
-        stalls: stalls.load(Ordering::Relaxed),
-        iters_per_proc: iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        wall,
+        Some((count, src.stalls()))
     })
 }
 
@@ -97,9 +58,10 @@ pub fn doacross<F>(pool: &WorkerPool, n: usize, body: &F, out: &mut [f64]) -> Ex
 where
     F: for<'s> Fn(usize, &WaitingSource<'s>) -> f64 + Sync,
 {
-    let shared = SharedVec::new(n);
-    let iters: Vec<AtomicU64> = (0..pool.nworkers()).map(|_| AtomicU64::new(0)).collect();
-    doacross_core(pool, n, &shared, &iters, body, out, None).unwrap_or_else(|e| panic!("{e}"))
+    let nprocs = pool.nworkers();
+    let layout = Natural { n, nprocs };
+    doacross_core(pool, &layout, &LoopScratch::new(n, nprocs), body, out, None)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

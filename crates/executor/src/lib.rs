@@ -28,18 +28,22 @@
 //! * [`ExecPolicy::Doacross`] — the original index order striped over
 //!   processors with busy-wait synchronization (no inspector reordering).
 //!
+//! Each discipline is implemented **once** ([`selfexec`], [`presched`],
+//! [`mod@doacross`]), generic over a crate-private layout that a
+//! [`Schedule`] and a [`compiled::CompiledPlan`] both implement; the free
+//! functions ([`pre_scheduled`], [`self_executing`], [`doacross()`], …) run
+//! the same cores. Cancellation checks, panic containment (including the
+//! `exec.body_panic` fail point) and [`ExecReport`] accounting exist once.
+//!
 //! Loop bodies are **statically dispatched**: a body implements [`LoopBody`]
 //! with a generic `eval<S: ValueSource>` method, so each executor
 //! monomorphizes the body against its own concrete value source (the
 //! busy-waiting [`shared::WaitingSource`], the barrier-synchronized
 //! [`shared::PublishedSource`], or the sequential [`DirectSource`]) — there
 //! is no `dyn Fn` or `dyn ValueSource` call anywhere on an executor hot
-//! path. The per-discipline free functions ([`pre_scheduled`],
-//! [`self_executing`], [`doacross`], [`doall`], …) remain available and are
-//! equally generic; `PlannedLoop::run` is a thin planner-owned dispatcher
-//! over the same cores.
+//! path.
 //!
-//! Every executor — including the embarrassingly parallel [`doall`] family —
+//! Every executor — including the embarrassingly parallel [`mod@doall`] family —
 //! reports its run through one [`ExecReport`]: barriers performed, busy-wait
 //! stalls, per-processor iteration counts, and wall time.
 //!
@@ -50,11 +54,13 @@
 //! the data layout** — operand indices and per-row nonzero slices permuted
 //! into execution order with contiguous per-processor segments, all index
 //! remaps and filters resolved at compile time, numeric values gathered by
-//! a one-pass [`compiled::CompiledPlan::load_values`]. The immutable plan
-//! is shared (`Arc`); each concurrent run leases its own cheap
-//! [`compiled::RunScratch`], so the same hot pattern executes on any
-//! number of client threads simultaneously. [`PlannedLoop::run_in`] offers
-//! the same shared-plan/leased-scratch split for uncompiled bodies.
+//! a one-pass [`compiled::CompiledPlan::load_values`] — and runs through
+//! the same discipline cores as a [`PlannedLoop`]. The immutable plan is
+//! shared (`Arc`); each
+//! concurrent run leases its own cheap [`compiled::RunScratch`], so the
+//! same hot pattern executes on any number of client threads
+//! simultaneously. [`PlannedLoop::run_in`] offers the same
+//! shared-plan/leased-scratch split for uncompiled bodies.
 //!
 //! ## Memory-safety design
 //!
@@ -78,6 +84,7 @@ pub mod cancel;
 pub mod compiled;
 pub mod doacross;
 pub mod doall;
+mod layout;
 pub mod planned;
 pub mod pool;
 pub mod presched;

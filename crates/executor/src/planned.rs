@@ -46,8 +46,12 @@
 //! [`BarrierPlan`]: rtpl_inspector::BarrierPlan
 
 use crate::cancel::{CancelToken, ExecError};
+use crate::doacross::doacross_core;
+use crate::layout::Layout;
 use crate::pool::WorkerPool;
+use crate::presched::pre_scheduled_core;
 use crate::report::ExecReport;
+use crate::selfexec::self_executing_core;
 use crate::shared::SharedVec;
 use crate::LoopBody;
 use rtpl_inspector::{BarrierPlan, DepGraph, Result, Schedule};
@@ -97,7 +101,6 @@ pub struct PlannedLoop {
     graph: DepGraph,
     schedule: Schedule,
     barriers: BarrierPlan,
-    full_barriers: BarrierPlan,
     scratch: LoopScratch,
 }
 
@@ -109,8 +112,8 @@ pub struct PlannedLoop {
 /// is checked).
 #[derive(Debug)]
 pub struct LoopScratch {
-    shared: SharedVec,
-    iters: Vec<AtomicU64>,
+    pub(crate) shared: SharedVec,
+    pub(crate) iters: Vec<AtomicU64>,
     running: AtomicBool,
 }
 
@@ -150,16 +153,7 @@ impl PlannedLoop {
     pub fn new(graph: DepGraph, schedule: Schedule) -> Result<Self> {
         schedule.validate(&graph)?;
         let barriers = BarrierPlan::minimal(&schedule, &graph)?;
-        let full_barriers = BarrierPlan::full(schedule.num_phases());
-        let n = schedule.n();
-        let nprocs = schedule.nprocs();
-        Ok(PlannedLoop {
-            graph,
-            schedule,
-            barriers,
-            full_barriers,
-            scratch: LoopScratch::new(n, nprocs),
-        })
+        Self::from_parts(graph, schedule, barriers)
     }
 
     /// Rebuilds a plan from parts that were **validated when first built**
@@ -184,15 +178,11 @@ impl PlannedLoop {
                 schedule.num_phases()
             )));
         }
-        let full_barriers = BarrierPlan::full(schedule.num_phases());
-        let n = schedule.n();
-        let nprocs = schedule.nprocs();
         Ok(PlannedLoop {
+            scratch: LoopScratch::new(schedule.n(), schedule.nprocs()),
             graph,
             schedule,
             barriers,
-            full_barriers,
-            scratch: LoopScratch::new(n, nprocs),
         })
     }
 
@@ -295,52 +285,17 @@ impl PlannedLoop {
             "PlannedLoop run started while another run on this scratch is in progress"
         );
         let _guard = RunGuard(&scratch.running);
-        match policy {
-            ExecPolicy::SelfExecuting => crate::selfexec::self_executing_core(
-                pool,
-                &self.schedule,
-                &scratch.shared,
-                &scratch.iters,
-                &|i, src| body.eval(i, src),
-                out,
-                cancel,
-            ),
-            ExecPolicy::PreScheduled => crate::presched::pre_scheduled_core(
-                pool,
-                &self.schedule,
-                &self.full_barriers,
-                &scratch.shared,
-                &scratch.iters,
-                &|i, src| body.eval(i, src),
-                out,
-                cancel,
-            ),
-            ExecPolicy::PreScheduledElided => crate::presched::pre_scheduled_core(
-                pool,
-                &self.schedule,
-                &self.barriers,
-                &scratch.shared,
-                &scratch.iters,
-                &|i, src| body.eval(i, src),
-                out,
-                cancel,
-            ),
-            ExecPolicy::Doacross => {
-                assert!(
-                    self.graph.is_forward(),
-                    "the doacross policy requires a forward dependence graph"
-                );
-                crate::doacross::doacross_core(
-                    pool,
-                    self.schedule.n(),
-                    &scratch.shared,
-                    &scratch.iters,
-                    &|i, src| body.eval(i, src),
-                    out,
-                    cancel,
-                )
-            }
-        }
+        run_policy(
+            pool,
+            policy,
+            &self.schedule,
+            &self.barriers,
+            self.graph.is_forward(),
+            scratch,
+            body,
+            out,
+            cancel,
+        )
     }
 
     /// Executes the loop body sequentially in natural index order — the
@@ -352,10 +307,64 @@ impl PlannedLoop {
         let t0 = std::time::Instant::now();
         crate::sequential_body(n, body, out);
         ExecReport {
-            barriers: 0,
-            stalls: 0,
             iters_per_proc: vec![n as u64],
             wall: t0.elapsed(),
+            ..ExecReport::default()
+        }
+    }
+}
+
+/// Runs `body` over `layout` under `policy` — the one dispatcher through
+/// which both [`PlannedLoop`] and [`crate::CompiledPlan`] reach the
+/// discipline cores. `barriers` is the minimal barrier plan
+/// [`ExecPolicy::PreScheduledElided`] keeps; `forward` says whether the
+/// dependence graph admits [`ExecPolicy::Doacross`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_policy<L: Layout, B: LoopBody>(
+    pool: &WorkerPool,
+    policy: ExecPolicy,
+    layout: &L,
+    barriers: &BarrierPlan,
+    forward: bool,
+    scratch: &LoopScratch,
+    body: &B,
+    out: &mut [f64],
+    cancel: Option<&CancelToken>,
+) -> std::result::Result<ExecReport, ExecError> {
+    match policy {
+        ExecPolicy::SelfExecuting => self_executing_core(
+            pool,
+            layout,
+            scratch,
+            &|t, src| body.eval(t, src),
+            out,
+            cancel,
+        ),
+        ExecPolicy::PreScheduled | ExecPolicy::PreScheduledElided => {
+            let elided = (policy == ExecPolicy::PreScheduledElided).then_some(barriers);
+            pre_scheduled_core(
+                pool,
+                layout,
+                elided,
+                scratch,
+                &|t, src| body.eval(t, src),
+                out,
+                cancel,
+            )
+        }
+        ExecPolicy::Doacross => {
+            assert!(
+                forward,
+                "the doacross policy requires a forward dependence graph"
+            );
+            doacross_core(
+                pool,
+                layout,
+                scratch,
+                &|t, src| body.eval(t, src),
+                out,
+                cancel,
+            )
         }
     }
 }

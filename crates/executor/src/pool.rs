@@ -126,6 +126,19 @@ impl WorkerPool {
     /// [`PoolError`] after the whole team has finished — a fork/join never
     /// hangs on a buggy body, and never unwinds through the coordinator.
     pub fn run(&self, job: &(dyn Fn(usize) + Sync)) -> Result<(), PoolError> {
+        // A job dispatched from inside a trace capture tags each worker with
+        // its processor id, so the race oracle can attribute its accesses.
+        #[cfg(feature = "verify-trace")]
+        let traced = |p| {
+            let _proc = crate::trace::enter_proc(p);
+            job(p)
+        };
+        #[cfg(feature = "verify-trace")]
+        let job: &(dyn Fn(usize) + Sync) = if crate::trace::capturing() {
+            &traced
+        } else {
+            job
+        };
         let mut st = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
         debug_assert!(st.job.is_none(), "pool is already running a job");
         // SAFETY: erase the borrow lifetime. `run` blocks below until every
@@ -184,10 +197,6 @@ fn worker_loop(inner: &Inner, id: usize) {
             seen_epoch = st.epoch;
             st.job.expect("woken without a job")
         };
-        // Tag this thread with its processor id so shared-memory accesses
-        // made inside the job can be attributed by the race oracle.
-        #[cfg(feature = "verify-trace")]
-        let _trace_proc = crate::trace::enter_proc(id);
         // SAFETY: `WorkerPool::run` keeps the closure alive until every
         // worker has decremented `remaining`, which happens strictly after
         // this call returns. The catch_unwind keeps a panicking job from

@@ -16,86 +16,46 @@
 //! own operands exist, not when the whole previous wavefront is done. This
 //! is the paper's recommended executor.
 
-use crate::cancel::{CancelToken, ExecError, InterruptCell, CHECK_STRIDE};
+use crate::cancel::{CancelToken, ExecError, CHECK_STRIDE};
+use crate::layout::{run_team, Layout};
+use crate::planned::LoopScratch;
 use crate::pool::WorkerPool;
 use crate::report::ExecReport;
-use crate::shared::{SharedVec, WaitingSource};
+use crate::shared::WaitingSource;
 use rtpl_inspector::Schedule;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-/// The discipline's core loop over caller-provided buffers; used both by
-/// the free function below and by [`crate::PlannedLoop`] (which reuses its
-/// own buffers across runs). A body panic or an observed cancellation
-/// poisons the shared vector (releasing busy-waiting peers) and surfaces
-/// as a typed [`ExecError`]; the worker threads always survive.
-pub(crate) fn self_executing_core<F>(
+/// The discipline's core loop over a caller-provided scratch, generic over
+/// the [`Layout`] (an uncompiled [`Schedule`] or a compiled plan); used by
+/// the free function below, [`crate::PlannedLoop`] and
+/// [`crate::CompiledPlan`]. Each processor walks its positions phase by
+/// phase, publishing each position's value; cancellation is consulted every
+/// [`CHECK_STRIDE`] iterations.
+pub(crate) fn self_executing_core<L, F>(
     pool: &WorkerPool,
-    schedule: &Schedule,
-    shared: &SharedVec,
-    iters: &[AtomicU64],
+    layout: &L,
+    scratch: &LoopScratch,
     body: &F,
     out: &mut [f64],
     cancel: Option<&CancelToken>,
 ) -> Result<ExecReport, ExecError>
 where
+    L: Layout,
     F: for<'s> Fn(usize, &WaitingSource<'s>) -> f64 + Sync,
 {
-    assert_eq!(
-        schedule.nprocs(),
-        pool.nworkers(),
-        "schedule processor count must match the pool"
-    );
-    assert_eq!(out.len(), schedule.n());
-    assert_eq!(shared.len(), schedule.n());
-    let epoch = shared.begin_run();
-    let stalls = AtomicU64::new(0);
-    let interrupted = InterruptCell::new();
-    let t0 = Instant::now();
-    let ran = pool.run(&|p| {
-        // Poison the shared vector if this worker's body panics, so peers
-        // busy-waiting on values it would have produced fail cleanly
-        // instead of spinning forever.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let src = WaitingSource::new(shared, epoch);
-            let mut count = 0u64;
-            for (k, &i) in schedule.proc(p).iter().enumerate() {
-                if k % CHECK_STRIDE == 0 {
-                    if let Some(cause) = cancel.and_then(CancelToken::check) {
-                        interrupted.set(cause);
-                        shared.poison();
-                        return;
-                    }
+    run_team(pool, layout, scratch, None, cancel, out, |p, team| {
+        let src = WaitingSource::new(team.shared, team.epoch);
+        let mut count = 0u64;
+        for w in 0..layout.num_phases() {
+            for t in layout.positions(p, w) {
+                if (count as usize).is_multiple_of(CHECK_STRIDE) && team.cancelled() {
+                    return None;
                 }
-                let i = i as usize;
-                let v = body(i, &src);
-                shared.publish_at(i, v, epoch);
+                let v = body(t, &src);
+                team.shared.publish_at(layout.target(t), v, team.epoch);
                 count += 1;
             }
-            iters[p].store(count, Ordering::Relaxed);
-            stalls.fetch_add(src.stalls(), Ordering::Relaxed);
-        }));
-        if let Err(e) = outcome {
-            shared.poison();
-            std::panic::resume_unwind(e);
         }
-    });
-    let wall = t0.elapsed();
-    // A cancelling worker poisons the buffer, so peers die on the poison
-    // panic and inflate the pool's panic count — the recorded cause, not
-    // the collateral panics, names the failure.
-    if let Some(cause) = interrupted.get() {
-        return Err(cause);
-    }
-    ran.map_err(|e| ExecError::BodyPanicked {
-        workers: e.panicked,
-    })?;
-    shared.copy_into_at(out, epoch);
-    Ok(ExecReport {
-        barriers: 0,
-        stalls: stalls.load(Ordering::Relaxed),
-        iters_per_proc: iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        wall,
+        Some((count, src.stalls()))
     })
 }
 
@@ -134,10 +94,8 @@ pub fn self_executing<F>(
 where
     F: for<'s> Fn(usize, &WaitingSource<'s>) -> f64 + Sync,
 {
-    let shared = SharedVec::new(schedule.n());
-    let iters: Vec<AtomicU64> = (0..pool.nworkers()).map(|_| AtomicU64::new(0)).collect();
-    self_executing_core(pool, schedule, &shared, &iters, body, out, None)
-        .unwrap_or_else(|e| panic!("{e}"))
+    let scratch = LoopScratch::new(schedule.n(), schedule.nprocs());
+    self_executing_core(pool, schedule, &scratch, body, out, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

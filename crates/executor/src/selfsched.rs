@@ -13,11 +13,12 @@
 //! processes its chunk in order, so the globally earliest unfinished index
 //! always has its dependences complete and an owner that can run it.
 
+use crate::layout::{run_team, Natural};
+use crate::planned::LoopScratch;
 use crate::pool::WorkerPool;
 use crate::report::ExecReport;
-use crate::shared::{SharedVec, WaitingSource};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
+use crate::shared::WaitingSource;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Chunk-size policy for dynamic claiming.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,75 +57,57 @@ where
         assert!(k >= 1, "fixed chunk size must be >= 1");
     }
     let nprocs = pool.nworkers();
-    let shared = SharedVec::new(n);
-    let epoch = shared.begin_run();
-    let iters: Vec<AtomicU64> = (0..nprocs).map(|_| AtomicU64::new(0)).collect();
     let cursor = AtomicUsize::new(0);
-    let stalls = AtomicU64::new(0);
-    let t0 = Instant::now();
-    pool.run(&|p| {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let src = WaitingSource::new(&shared, epoch);
-            let mut count = 0u64;
-            loop {
-                // Claim the next chunk [lo, hi).
-                let lo = match chunking {
-                    Chunking::Unit => cursor.fetch_add(1, Ordering::Relaxed),
-                    Chunking::Fixed(k) => cursor.fetch_add(k, Ordering::Relaxed),
-                    Chunking::Guided => {
-                        // CAS loop recomputing the guided chunk from `remaining`.
-                        let mut lo = cursor.load(Ordering::Relaxed);
-                        loop {
-                            if lo >= n {
-                                break;
-                            }
-                            let remaining = n - lo;
-                            let chunk = remaining.div_ceil(nprocs);
-                            match cursor.compare_exchange_weak(
-                                lo,
-                                lo + chunk,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            ) {
-                                Ok(_) => break,
-                                Err(cur) => lo = cur,
-                            }
+    let layout = Natural { n, nprocs };
+    let scratch = LoopScratch::new(n, nprocs);
+    run_team(pool, &layout, &scratch, None, None, out, |_, team| {
+        let src = WaitingSource::new(team.shared, team.epoch);
+        let mut count = 0u64;
+        loop {
+            // Claim the next chunk [lo, hi).
+            let lo = match chunking {
+                Chunking::Unit => cursor.fetch_add(1, Ordering::Relaxed),
+                Chunking::Fixed(k) => cursor.fetch_add(k, Ordering::Relaxed),
+                Chunking::Guided => {
+                    // CAS loop recomputing the guided chunk from `remaining`.
+                    let mut lo = cursor.load(Ordering::Relaxed);
+                    loop {
+                        if lo >= n {
+                            break;
                         }
-                        lo
+                        let remaining = n - lo;
+                        let chunk = remaining.div_ceil(nprocs);
+                        match cursor.compare_exchange_weak(
+                            lo,
+                            lo + chunk,
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                        ) {
+                            Ok(_) => break,
+                            Err(cur) => lo = cur,
+                        }
                     }
-                };
-                if lo >= n {
-                    break;
+                    lo
                 }
-                let hi = match chunking {
-                    Chunking::Unit => lo + 1,
-                    Chunking::Fixed(k) => (lo + k).min(n),
-                    Chunking::Guided => (lo + (n - lo).div_ceil(nprocs)).min(n),
-                };
-                for &i in &order[lo..hi.min(n)] {
-                    let i = i as usize;
-                    let v = body(i, &src);
-                    shared.publish_at(i, v, epoch);
-                    count += 1;
-                }
+            };
+            if lo >= n {
+                break;
             }
-            iters[p].store(count, Ordering::Relaxed);
-            stalls.fetch_add(src.stalls(), Ordering::Relaxed);
-        }));
-        if let Err(e) = outcome {
-            shared.poison();
-            std::panic::resume_unwind(e);
+            let hi = match chunking {
+                Chunking::Unit => lo + 1,
+                Chunking::Fixed(k) => (lo + k).min(n),
+                Chunking::Guided => (lo + (n - lo).div_ceil(nprocs)).min(n),
+            };
+            for &i in &order[lo..hi.min(n)] {
+                let i = i as usize;
+                let v = body(i, &src);
+                team.shared.publish_at(i, v, team.epoch);
+                count += 1;
+            }
         }
+        Some((count, src.stalls()))
     })
-    .unwrap_or_else(|e| panic!("{e}"));
-    let wall = t0.elapsed();
-    shared.copy_into_at(out, epoch);
-    ExecReport {
-        barriers: 0,
-        stalls: stalls.load(Ordering::Relaxed),
-        iters_per_proc: iters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-        wall,
-    }
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

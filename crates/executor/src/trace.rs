@@ -30,7 +30,8 @@
 //!   participant's post-release event.
 //!
 //! Only events from pool worker threads (which carry a processor id, set by
-//! [`crate::pool::WorkerPool`]) are logged; coordinator-thread accesses
+//! [`crate::pool::WorkerPool::run`] for jobs dispatched from inside
+//! [`capture`]) are logged; coordinator-thread accesses
 //! (result gathers, value scatters) happen strictly before/after the
 //! parallel region and are not part of the race surface.
 
@@ -73,6 +74,17 @@ thread_local! {
     /// The processor id of the current pool worker, if any. Events recorded
     /// from threads without an id (the coordinator) are dropped.
     static PROC: Cell<Option<u32>> = const { Cell::new(None) };
+    /// Whether this thread is inside [`capture`]. A pool job records events
+    /// only when the thread that dispatched it is capturing, so runs of
+    /// other threads (say, concurrently running tests) never leak into a
+    /// capture.
+    static CAPTURING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the current thread is inside a [`capture`] session.
+#[cfg(feature = "verify-trace")]
+pub(crate) fn capturing() -> bool {
+    CAPTURING.with(Cell::get)
 }
 
 fn lock_log() -> MutexGuard<'static, Vec<TraceEvent>> {
@@ -86,9 +98,9 @@ pub(crate) fn next_barrier_id() -> u32 {
 }
 
 /// Runs `f` with tracing enabled and returns its result plus every event
-/// recorded by pool workers during the run. Sessions are serialized: a
-/// second concurrent `capture` blocks until the first finishes. Tracing is
-/// switched off again even if `f` panics.
+/// recorded by the pool workers running jobs `f` dispatches. Sessions are
+/// serialized: a second concurrent `capture` blocks until the first
+/// finishes. Tracing is switched off again even if `f` panics.
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<TraceEvent>) {
     let _session = SESSION.lock().unwrap_or_else(|e| e.into_inner());
     lock_log().clear();
@@ -96,9 +108,11 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<TraceEvent>) {
     impl Drop for Off {
         fn drop(&mut self) {
             ACTIVE.store(false, Ordering::SeqCst);
+            CAPTURING.with(|c| c.set(false));
         }
     }
     let off = Off;
+    CAPTURING.with(|c| c.set(true));
     ACTIVE.store(true, Ordering::SeqCst);
     let r = f();
     drop(off);

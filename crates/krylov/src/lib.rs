@@ -26,8 +26,7 @@ pub mod trisolve;
 pub use precond::{Precondition, Preconditioner};
 pub use solvers::{bicgstab, cg, gmres, KrylovConfig, SolveStats};
 pub use trisolve::{
-    CompiledSolveScratch, CompiledTriSolve, ExecutorKind, SolveScratch, Sorting,
-    TriangularSolvePlan,
+    CompiledSolveScratch, CompiledTriSolve, ExecutorKind, Sorting, TriangularSolvePlan,
 };
 
 /// Errors from solver construction and execution.

@@ -1,9 +1,10 @@
 //! Preconditioner application.
 
-use crate::trisolve::TriangularSolvePlan;
+use crate::trisolve::{CompiledSolveScratch, CompiledTriSolve, TriangularSolvePlan};
 use crate::{KrylovError, Result};
 use rtpl_executor::WorkerPool;
 use rtpl_sparse::Csr;
+use std::sync::Mutex;
 
 /// Anything the Krylov iterations can use as `z = M⁻¹ r`.
 ///
@@ -41,12 +42,32 @@ pub enum Preconditioner {
     Identity,
     /// `M = diag(A)`; stores the inverse diagonal.
     Jacobi(Vec<f64>),
-    /// `M = L U` from an incomplete factorization, applied by the parallel
-    /// triangular solves — the paper's configuration.
-    Ilu(TriangularSolvePlan),
+    /// `M = L U` from an incomplete factorization, applied by the compiled
+    /// parallel triangular solves under the plan's executor kind — the
+    /// paper's configuration. Built by [`Preconditioner::ilu`].
+    Ilu(IluApply),
+}
+
+/// A compiled triangular-solve pair with the factor values gathered once,
+/// at construction; every application runs the compiled sweeps over them.
+pub struct IluApply {
+    solve: CompiledTriSolve,
+    scratch: Mutex<CompiledSolveScratch>,
 }
 
 impl Preconditioner {
+    /// Builds the ILU preconditioner `M = L U` from an inspected plan:
+    /// compiles both sweeps and gathers the plan's own factor values once.
+    pub fn ilu(plan: TriangularSolvePlan) -> Result<Self> {
+        let solve = plan.compile()?;
+        let mut scratch = solve.scratch();
+        solve.load_values(solve.plan().factors(), &mut scratch)?;
+        Ok(Preconditioner::Ilu(IluApply {
+            solve,
+            scratch: Mutex::new(scratch),
+        }))
+    }
+
     /// Builds a Jacobi preconditioner from the matrix diagonal.
     pub fn jacobi(a: &Csr) -> Result<Self> {
         let d = a.diagonal()?;
@@ -105,13 +126,16 @@ impl Preconditioner {
             }
         }
         let factors = rtpl_sparse::ilu::IluFactors { l: lhat, u: uhat };
-        Ok(Preconditioner::Ilu(TriangularSolvePlan::new(
-            &factors, nprocs, kind, sorting,
-        )?))
+        Preconditioner::ilu(TriangularSolvePlan::new(&factors, nprocs, kind, sorting)?)
     }
 
-    /// Applies `z = M⁻¹ r`; `work` is scratch of length `n`.
-    pub fn apply(&self, pool: &WorkerPool, r: &[f64], z: &mut [f64], work: &mut [f64]) {
+    /// Applies `z = M⁻¹ r`. `_work` exists for the [`Precondition`]
+    /// signature; the ILU sweeps keep their intermediate in their own
+    /// scratch.
+    ///
+    /// Panics if a parallel sweep fails (a panicking worker), as the
+    /// [`Precondition`] contract has no error channel.
+    pub fn apply(&self, pool: &WorkerPool, r: &[f64], z: &mut [f64], _work: &mut [f64]) {
         match self {
             Preconditioner::Identity => z.copy_from_slice(r),
             Preconditioner::Jacobi(dinv) => {
@@ -119,7 +143,16 @@ impl Preconditioner {
                     z[i] = r[i] * dinv[i];
                 }
             }
-            Preconditioner::Ilu(plan) => plan.solve(pool, r, z, work),
+            Preconditioner::Ilu(m) => {
+                // A panic under the lock leaves the scratch valid: its loaded
+                // values are never written after construction, and each run
+                // starts a fresh epoch of the run state.
+                let mut scratch = m.scratch.lock().unwrap_or_else(|e| e.into_inner());
+                let kind = m.solve.plan().kind();
+                m.solve
+                    .solve_loaded(Some(pool), kind, r, z, &mut scratch)
+                    .unwrap_or_else(|e| panic!("ILU preconditioner sweep failed: {e}"));
+            }
         }
     }
 }
@@ -243,7 +276,7 @@ mod tests {
         let f = ilu0(&a).unwrap();
         let plan =
             TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
-        let m = Preconditioner::Ilu(plan);
+        let m = Preconditioner::ilu(plan).unwrap();
         let pool = WorkerPool::new(2);
         let r = vec![1.0; 16];
         let mut z = vec![0.0; 16];

@@ -428,7 +428,15 @@ mod tests {
         let plan =
             TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
         let mut x1 = vec![0.0; n];
-        let pre = cg(&pool, &a, &b, &mut x1, &Preconditioner::Ilu(plan), &cfg).unwrap();
+        let pre = cg(
+            &pool,
+            &a,
+            &b,
+            &mut x1,
+            &Preconditioner::ilu(plan).unwrap(),
+            &cfg,
+        )
+        .unwrap();
 
         assert!(pre.converged && plain.converged);
         assert!(
@@ -463,7 +471,15 @@ mod tests {
         let plan =
             TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
         let mut x = vec![0.0; n];
-        let stats = gmres(&pool, &a, &b, &mut x, &Preconditioner::Ilu(plan), &cfg).unwrap();
+        let stats = gmres(
+            &pool,
+            &a,
+            &b,
+            &mut x,
+            &Preconditioner::ilu(plan).unwrap(),
+            &cfg,
+        )
+        .unwrap();
         assert!(stats.converged, "{stats:?}");
         assert!(residual_norm(&a, &b, &x) < 1e-6 * rtpl_sparse::dense::norm2(&b));
     }
@@ -489,7 +505,15 @@ mod tests {
         let plan =
             TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
         let mut x = vec![0.0; n];
-        let stats = bicgstab(&pool, &a, &b, &mut x, &Preconditioner::Ilu(plan), &cfg).unwrap();
+        let stats = bicgstab(
+            &pool,
+            &a,
+            &b,
+            &mut x,
+            &Preconditioner::ilu(plan).unwrap(),
+            &cfg,
+        )
+        .unwrap();
         assert!(stats.converged, "{stats:?}");
         assert!(residual_norm(&a, &b, &x) < 1e-6 * rtpl_sparse::dense::norm2(&b));
     }

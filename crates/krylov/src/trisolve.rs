@@ -5,20 +5,21 @@
 //! are the factor's off-diagonal structure, known only after the (numeric)
 //! factorization. A [`TriangularSolvePlan`] runs the inspector **once** —
 //! wavefronts, schedules, and barrier plans for both sweeps, as two
-//! [`PlannedLoop`]s — and then executes it every iteration with the chosen
-//! executor, amortizing the sort exactly as the paper does. Repeated solves
-//! allocate nothing: the planned loops reuse their shared buffers via an
-//! O(1) epoch bump.
+//! [`PlannedLoop`]s — and [`TriangularSolvePlan::compile`] bakes both sweeps
+//! into schedule-order data layouts. The resulting [`CompiledTriSolve`] is
+//! the only way a solve executes: every iteration runs it with the chosen
+//! executor, amortizing the sort exactly as the paper does, and repeated
+//! solves allocate nothing.
 //!
 //! The backward sweep is scheduled in *reversed* index space (position
 //! `k` stands for row `n−1−k`), which turns its dependences forward so the
-//! same machinery applies unchanged.
+//! same machinery applies unchanged; the compiled layout resolves the
+//! reversal, the strict-upper filter, and the inverse diagonal at compile
+//! time.
 
 use crate::{KrylovError, Result};
 use rtpl_executor::compiled::{CompiledError, CompiledPlan, CompiledSpec, RunScratch};
-use rtpl_executor::{
-    CancelToken, ExecPolicy, ExecReport, LoopBody, PlannedLoop, ValueSource, WorkerPool,
-};
+use rtpl_executor::{CancelToken, ExecPolicy, ExecReport, PlannedLoop, WorkerPool};
 use rtpl_inspector::{BarrierPlan, CoalesceStats, DepGraph, Partition, Schedule, Wavefronts};
 use rtpl_sparse::ilu::IluFactors;
 use rtpl_sparse::wire::{WireError, WireReader, WireResult, WireWriter};
@@ -75,95 +76,17 @@ pub enum Sorting {
     LocalContiguous,
 }
 
-/// The forward-substitution body: `y(i) = b(i) − Σ_j L(i,j)·y(j)`.
-struct ForwardBody<'a> {
-    l: &'a Csr,
-    b: &'a [f64],
-}
-
-impl LoopBody for ForwardBody<'_> {
-    #[inline]
-    fn eval<S: ValueSource>(&self, i: usize, src: &S) -> f64 {
-        let mut acc = self.b[i];
-        for (j, v) in self.l.row(i) {
-            acc -= v * src.get(j);
-        }
-        acc
-    }
-}
-
-/// The backward-substitution body in reversed index space: position `k`
-/// computes row `i = n−1−k`; operands are positions `n−1−j`.
-///
-/// The strict-upper filter and the diagonal inversion were hoisted to plan
-/// build time: `u_strict` holds only the above-diagonal structure and
-/// `uvals` the matching coefficients (the plan's own, or a per-call gather
-/// for [`TriangularSolvePlan::solve_with`]), so the inner loop performs no
-/// `j > i` branch on any nonzero.
-struct BackwardBody<'a> {
-    u_strict: &'a Csr,
-    uvals: &'a [f64],
-    y: &'a [f64],
-    dinv: &'a [f64],
-    n: usize,
-}
-
-impl LoopBody for BackwardBody<'_> {
-    #[inline]
-    fn eval<S: ValueSource>(&self, k: usize, src: &S) -> f64 {
-        let i = self.n - 1 - k;
-        let mut acc = self.y[i];
-        let lo = self.u_strict.indptr()[i];
-        let hi = self.u_strict.indptr()[i + 1];
-        for (&j, &v) in self.u_strict.indices()[lo..hi]
-            .iter()
-            .zip(&self.uvals[lo..hi])
-        {
-            acc -= v * src.get(self.n - 1 - j as usize);
-        }
-        acc * self.dinv[i]
-    }
-}
-
-/// Reusable scratch for [`TriangularSolvePlan::solve_with`]: the forward
-/// sweep output, the per-call inverse diagonal of `U`, and the per-call
-/// strict-upper coefficient gather.
-#[derive(Clone, Debug)]
-pub struct SolveScratch {
-    work: Vec<f64>,
-    dinv: Vec<f64>,
-    uvals: Vec<f64>,
-}
-
-impl SolveScratch {
-    /// Scratch for systems of order `n`. (The strict-upper value buffer
-    /// sizes itself to the plan on first use.)
-    pub fn new(n: usize) -> Self {
-        SolveScratch {
-            work: vec![0.0; n],
-            dinv: vec![0.0; n],
-            uvals: Vec::new(),
-        }
-    }
-}
-
-/// A reusable plan for applying `(L·U)⁻¹`.
+/// The inspection of a factor pair: schedules, barrier plans and dependence
+/// graphs for both sweeps. Execute it by [`TriangularSolvePlan::compile`].
 #[derive(Debug)]
 pub struct TriangularSolvePlan {
     n: usize,
-    l: Csr,
-    u: Csr,
-    /// The strict upper triangle of `u` (structure + the plan's own
-    /// values), filtered once at build time so no executor branches on
-    /// `j > i` per nonzero.
-    u_strict: Csr,
-    /// Position in `u.data()` of each `u_strict` nonzero — the per-call
-    /// value gather map for [`TriangularSolvePlan::solve_with`].
-    u_strict_src: Vec<u32>,
-    /// Position in `u.data()` of each row's diagonal (no per-call binary
-    /// search).
+    /// The factors the plan was inspected from (placeholder values in a
+    /// plan decoded from an artifact).
+    factors: IluFactors,
+    /// Position in `u.data()` of each row's diagonal — the backward sweep's
+    /// reciprocal-scale source.
     udiag_pos: Vec<u32>,
-    udiag_inv: Vec<f64>,
     plan_l: PlannedLoop,
     plan_u: PlannedLoop,
     kind: ExecutorKind,
@@ -200,46 +123,21 @@ impl TriangularSolvePlan {
         grain: Option<f64>,
     ) -> Result<Self> {
         let n = factors.n();
-        let l = factors.l.clone();
-        let u = factors.u.clone();
-        let udiag = u.diagonal()?;
-        if let Some(row) = udiag.iter().position(|&d| d == 0.0) {
+        let udiag_pos = diag_positions(&factors.u)
+            .map_err(|row| rtpl_sparse::SparseError::MissingDiagonal { row })?;
+        if let Some(row) = (0..n).find(|&i| factors.u.data()[udiag_pos[i] as usize] == 0.0) {
             return Err(KrylovError::Sparse(rtpl_sparse::SparseError::ZeroPivot {
                 row,
             }));
         }
-        let udiag_inv = udiag.iter().map(|d| 1.0 / d).collect();
-        // One pass over U hoists everything the backward sweep used to
-        // redo per run: the strict-upper filter, the diagonal positions,
-        // and (for `solve_with`) where each kept coefficient lives in the
-        // caller's value array.
-        let u_strict = u.strict_upper();
-        let mut u_strict_src = Vec::with_capacity(u_strict.nnz());
-        let mut udiag_pos = vec![0u32; n];
-        for i in 0..n {
-            let lo = u.indptr()[i];
-            for (k, &j) in u.row_indices(i).iter().enumerate() {
-                let pos = (lo + k) as u32;
-                match (j as usize).cmp(&i) {
-                    std::cmp::Ordering::Greater => u_strict_src.push(pos),
-                    std::cmp::Ordering::Equal => udiag_pos[i] = pos,
-                    std::cmp::Ordering::Less => {}
-                }
-            }
-        }
-        debug_assert_eq!(u_strict_src.len(), u_strict.nnz());
-        let g_l = DepGraph::from_lower_triangular(&l)?;
-        let g_u = DepGraph::from_upper_triangular(&u)?;
+        let g_l = DepGraph::from_lower_triangular(&factors.l)?;
+        let g_u = DepGraph::from_upper_triangular(&factors.u)?;
         let (plan_l, coalesce_l) = make_plan(g_l, nprocs, sorting, grain)?;
         let (plan_u, coalesce_u) = make_plan(g_u, nprocs, sorting, grain)?;
         Ok(TriangularSolvePlan {
             n,
-            l,
-            u,
-            u_strict,
-            u_strict_src,
+            factors: factors.clone(),
             udiag_pos,
-            udiag_inv,
             plan_l,
             plan_u,
             kind,
@@ -291,98 +189,16 @@ impl TriangularSolvePlan {
         &self.plan_u
     }
 
+    /// The factors the plan was inspected from.
+    pub(crate) fn factors(&self) -> &IluFactors {
+        &self.factors
+    }
+
     /// Flop weights of the forward sweep rows.
     pub fn weights_l(&self) -> Vec<f64> {
         (0..self.n)
-            .map(|i| 1.0 + self.l.row_nnz(i) as f64)
+            .map(|i| 1.0 + self.factors.l.row_nnz(i) as f64)
             .collect()
-    }
-
-    /// Solves `L U x = b`; `work` is scratch of length `n`.
-    pub fn solve(&self, pool: &WorkerPool, b: &[f64], x: &mut [f64], work: &mut [f64]) {
-        self.forward(pool, b, work);
-        self.backward(pool, work, x);
-    }
-
-    /// As [`TriangularSolvePlan::solve`], returning the two sweep reports.
-    pub fn solve_reporting(
-        &self,
-        pool: &WorkerPool,
-        b: &[f64],
-        x: &mut [f64],
-        work: &mut [f64],
-    ) -> (ExecReport, ExecReport) {
-        let fwd = self.forward(pool, b, work);
-        let bwd = self.backward(pool, work, x);
-        (fwd, bwd)
-    }
-
-    /// Solves `L U x = b` with **caller-supplied factor values** and a
-    /// **per-call executor discipline**, returning the two sweep reports.
-    ///
-    /// The plan is a function of the factors' *structure* only, so one plan
-    /// (e.g. fetched from a structure-keyed cache) serves every factor that
-    /// shares the sparsity pattern — refreshed numeric values each call,
-    /// the discipline chosen by an adaptive policy rather than fixed at
-    /// construction. `factors` must have exactly the pattern the plan was
-    /// inspected from (order and nonzero counts are checked always, the
-    /// full index arrays in debug builds); values are unconstrained except
-    /// for `U`'s diagonal, which must exist and be nonzero.
-    ///
-    /// `pool` may be `None` only for [`ExecutorKind::Sequential`] (the
-    /// sequential sweep forks no team); parallel kinds panic without one.
-    pub fn solve_with(
-        &self,
-        pool: Option<&WorkerPool>,
-        kind: ExecutorKind,
-        factors: &IluFactors,
-        b: &[f64],
-        x: &mut [f64],
-        scratch: &mut SolveScratch,
-    ) -> Result<(ExecReport, ExecReport)> {
-        self.check_same_pattern(factors)?;
-        assert_eq!(b.len(), self.n);
-        assert_eq!(x.len(), self.n);
-        assert_eq!(scratch.work.len(), self.n);
-        let udata = factors.u.data();
-        for i in 0..self.n {
-            let d = udata[self.udiag_pos[i] as usize];
-            if d == 0.0 {
-                return Err(KrylovError::Sparse(rtpl_sparse::SparseError::ZeroPivot {
-                    row: i,
-                }));
-            }
-            scratch.dinv[i] = 1.0 / d;
-        }
-        // Gather the caller's strict-upper coefficients once (linear
-        // write), so the backward body runs branch-free over them.
-        scratch.uvals.resize(self.u_strict.nnz(), 0.0);
-        for (v, &pos) in scratch.uvals.iter_mut().zip(&self.u_strict_src) {
-            *v = udata[pos as usize];
-        }
-        let pool = kind
-            .policy()
-            .map(|_| pool.expect("parallel executor kinds require a worker pool"));
-        let fwd_body = ForwardBody { l: &factors.l, b };
-        let fwd = match (kind.policy(), pool) {
-            (Some(policy), Some(pool)) => {
-                self.plan_l.run(pool, policy, &fwd_body, &mut scratch.work)
-            }
-            _ => self.plan_l.run_sequential(&fwd_body, &mut scratch.work),
-        };
-        let bwd_body = BackwardBody {
-            u_strict: &self.u_strict,
-            uvals: &scratch.uvals,
-            y: &scratch.work,
-            dinv: &scratch.dinv,
-            n: self.n,
-        };
-        let bwd = match (kind.policy(), pool) {
-            (Some(policy), Some(pool)) => self.plan_u.run(pool, policy, &bwd_body, x),
-            _ => self.plan_u.run_sequential(&bwd_body, x),
-        };
-        x.reverse();
-        Ok((fwd, bwd))
     }
 
     /// Cheap release-mode pattern compatibility check (full structural
@@ -394,91 +210,45 @@ impl TriangularSolvePlan {
                 found: factors.n(),
             });
         }
-        if factors.l.nnz() != self.l.nnz() || factors.u.nnz() != self.u.nnz() {
+        let (l, u) = (&self.factors.l, &self.factors.u);
+        if factors.l.nnz() != l.nnz() || factors.u.nnz() != u.nnz() {
             return Err(KrylovError::Sparse(
                 rtpl_sparse::SparseError::InvalidStructure(format!(
                     "factor pattern does not match the plan: L nnz {} vs {}, U nnz {} vs {}",
                     factors.l.nnz(),
-                    self.l.nnz(),
+                    l.nnz(),
                     factors.u.nnz(),
-                    self.u.nnz()
+                    u.nnz()
                 )),
             ));
         }
-        debug_assert_eq!(factors.l.indptr(), self.l.indptr());
-        debug_assert_eq!(factors.l.indices(), self.l.indices());
-        debug_assert_eq!(factors.u.indptr(), self.u.indptr());
-        debug_assert_eq!(factors.u.indices(), self.u.indices());
+        debug_assert_eq!(factors.l.indptr(), l.indptr());
+        debug_assert_eq!(factors.l.indices(), l.indices());
+        debug_assert_eq!(factors.u.indptr(), u.indptr());
+        debug_assert_eq!(factors.u.indices(), u.indices());
         Ok(())
     }
 
-    /// Forward substitution `L y = b` (unit diagonal).
-    pub fn forward(&self, pool: &WorkerPool, b: &[f64], y: &mut [f64]) -> ExecReport {
-        assert_eq!(b.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        let body = ForwardBody { l: &self.l, b };
-        match self.kind.policy() {
-            None => self.plan_l.run_sequential(&body, y),
-            Some(policy) => self.plan_l.run(pool, policy, &body, y),
-        }
-    }
-
-    /// Backward substitution `U x = y` (stored diagonal), run in reversed
-    /// index space. `x` doubles as the executor's reversed-space output
-    /// buffer, so no per-call scratch is allocated.
-    pub fn backward(&self, pool: &WorkerPool, y: &[f64], x: &mut [f64]) -> ExecReport {
-        assert_eq!(y.len(), self.n);
-        assert_eq!(x.len(), self.n);
-        let body = BackwardBody {
-            u_strict: &self.u_strict,
-            uvals: self.u_strict.data(),
-            y,
-            dinv: &self.udiag_inv,
-            n: self.n,
-        };
-        // Executor output is in reversed space; un-reverse in place.
-        let report = match self.kind.policy() {
-            None => self.plan_u.run_sequential(&body, x),
-            Some(policy) => self.plan_u.run(pool, policy, &body, x),
-        };
-        x.reverse();
-        report
-    }
-}
-
-/// Maps an executor-layer compiled error into solver terms.
-fn map_compiled(e: CompiledError) -> KrylovError {
-    match e {
-        CompiledError::ZeroScale { row } => {
-            KrylovError::Sparse(rtpl_sparse::SparseError::ZeroPivot { row })
-        }
-        other => KrylovError::Sparse(rtpl_sparse::SparseError::InvalidStructure(format!(
-            "compiled triangular solve: {other}"
-        ))),
-    }
-}
-
-impl TriangularSolvePlan {
     /// Compiles the fused forward+backward solve into schedule-order data
     /// layouts ([`CompiledPlan`]s), consuming the plan (which stays
-    /// available through [`CompiledTriSolve::plan`] for prediction,
-    /// statistics, and the uncompiled fallback path).
+    /// available through [`CompiledTriSolve::plan`] for prediction and
+    /// statistics).
     ///
-    /// Everything the uncompiled executors redo per run is resolved here
+    /// Everything a per-row loop body would redo per run is resolved here
     /// once: the backward sweep's `n−1−j` reversed-space remap and
     /// strict-upper filter are baked into the operand indices, the
     /// inverse diagonal is pre-applied as a per-row scale, and each
     /// processor's work is a contiguous segment streamed linearly.
     pub fn compile(self) -> Result<CompiledTriSolve> {
         let n = self.n;
-        let mut fwd_spec = CompiledSpec::new(n, self.l.nnz());
+        let (l, u) = (&self.factors.l, &self.factors.u);
+        let mut fwd_spec = CompiledSpec::new(n, l.nnz());
         for i in 0..n {
-            let lo = self.l.indptr()[i];
+            let lo = l.indptr()[i];
             fwd_spec.push_row(
                 i as u32,
                 i as u32,
-                self.l
-                    .row_indices(i)
+                l.row_indices(i)
                     .iter()
                     .enumerate()
                     .map(|(k, &j)| (j, (lo + k) as u32)),
@@ -490,15 +260,14 @@ impl TriangularSolvePlan {
         // row i = n−1−k; operand j>i becomes plan index n−1−j; values
         // gather straight from the caller's U array (strict-upper filter
         // resolved by the spec); the diagonal's reciprocal is the scale.
-        let mut bwd_spec = CompiledSpec::new(n, self.u.nnz());
+        let mut bwd_spec = CompiledSpec::new(n, u.nnz());
         for k in 0..n {
             let i = n - 1 - k;
-            let lo = self.u.indptr()[i];
+            let lo = u.indptr()[i];
             bwd_spec.push_row(
                 i as u32,
                 i as u32,
-                self.u
-                    .row_indices(i)
+                u.row_indices(i)
                     .iter()
                     .enumerate()
                     .filter(|&(_, &j)| (j as usize) > i)
@@ -515,6 +284,18 @@ impl TriangularSolvePlan {
     }
 }
 
+/// Maps an executor-layer compiled error into solver terms.
+fn map_compiled(e: CompiledError) -> KrylovError {
+    match e {
+        CompiledError::ZeroScale { row } => {
+            KrylovError::Sparse(rtpl_sparse::SparseError::ZeroPivot { row })
+        }
+        other => KrylovError::Sparse(rtpl_sparse::SparseError::InvalidStructure(format!(
+            "compiled triangular solve: {other}"
+        ))),
+    }
+}
+
 /// The fused, compiled `L U x = b` application: two [`CompiledPlan`]s
 /// (forward and backward sweeps) plus the originating
 /// [`TriangularSolvePlan`].
@@ -522,9 +303,10 @@ impl TriangularSolvePlan {
 /// The compiled plans are immutable — share one `CompiledTriSolve` behind
 /// an `Arc` and give each concurrent request its own
 /// [`CompiledSolveScratch`]; any number of threads then solve the same
-/// cached pattern simultaneously. Results are bit-exact across all
-/// [`ExecutorKind`]s, processor counts, and against the uncompiled
-/// [`TriangularSolvePlan::solve_with`] path.
+/// cached pattern simultaneously. Every [`ExecutorKind`] performs the
+/// same per-row arithmetic (operand products subtracted in CSR order, the
+/// backward row scaled by its pivot's reciprocal), so results are
+/// bit-exact across kinds and processor counts.
 #[derive(Debug)]
 pub struct CompiledTriSolve {
     plan: TriangularSolvePlan,
@@ -542,8 +324,7 @@ pub struct CompiledSolveScratch {
 }
 
 impl CompiledTriSolve {
-    /// The originating plan (schedules, graphs, phase counts, fallback
-    /// path).
+    /// The originating plan (schedules, graphs, phase counts).
     pub fn plan(&self) -> &TriangularSolvePlan {
         &self.plan
     }
@@ -579,9 +360,9 @@ impl CompiledTriSolve {
     /// Values are attached by one linear gather per sweep
     /// ([`CompiledPlan::load_values`], which also pre-applies `U`'s
     /// inverse diagonal); the runs themselves stream the compiled layout.
-    /// `factors` must share the pattern the plan was inspected from
-    /// (checked as in [`TriangularSolvePlan::solve_with`]); `pool` may be
-    /// `None` only for [`ExecutorKind::Sequential`].
+    /// `factors` must share the pattern the plan was inspected from (order
+    /// and nonzero counts are checked always, the full index arrays in debug
+    /// builds); `pool` may be `None` only for [`ExecutorKind::Sequential`].
     pub fn solve(
         &self,
         pool: Option<&WorkerPool>,
@@ -615,8 +396,6 @@ impl CompiledTriSolve {
         scratch: &mut CompiledSolveScratch,
     ) -> Result<(ExecReport, ExecReport)> {
         self.plan.check_same_pattern(factors)?;
-        assert_eq!(b.len(), self.plan.n);
-        assert_eq!(x.len(), self.plan.n);
         let fwd = self
             .fwd
             .run_sequential_fused(&mut scratch.fwd, factors.l.data(), b, &mut scratch.y)
@@ -635,7 +414,7 @@ impl CompiledTriSolve {
     /// [`CompiledTriSolve::solve_loaded`] per right-hand side.
     ///
     /// `factors` must share the pattern the plan was inspected from
-    /// (checked as in [`TriangularSolvePlan::solve_with`]).
+    /// (checked as in [`CompiledTriSolve::solve`]).
     pub fn load_values(
         &self,
         factors: &IluFactors,
@@ -681,31 +460,22 @@ impl CompiledTriSolve {
         scratch: &mut CompiledSolveScratch,
         cancel: Option<&CancelToken>,
     ) -> Result<(ExecReport, ExecReport)> {
-        assert_eq!(b.len(), self.plan.n);
-        assert_eq!(x.len(), self.plan.n);
-        let pool = kind
-            .policy()
-            .map(|_| pool.expect("parallel executor kinds require a worker pool"));
-        if let Some(cause) = cancel.and_then(CancelToken::check) {
-            return Err(cause.into());
-        }
-        let fwd = match (kind.policy(), pool) {
-            (Some(policy), Some(pool)) => {
-                self.fwd
-                    .try_run(pool, policy, &mut scratch.fwd, b, &mut scratch.y, cancel)?
-            }
-            _ => self.fwd.run_sequential(&mut scratch.fwd, b, &mut scratch.y),
-        };
-        if let Some(cause) = cancel.and_then(CancelToken::check) {
-            return Err(cause.into());
-        }
-        let bwd = match (kind.policy(), pool) {
-            (Some(policy), Some(pool)) => {
-                self.bwd
-                    .try_run(pool, policy, &mut scratch.bwd, &scratch.y, x, cancel)?
-            }
-            _ => self.bwd.run_sequential(&mut scratch.bwd, &scratch.y, x),
-        };
+        let policy = kind.policy().map(|policy| {
+            let pool = pool.expect("parallel executor kinds require a worker pool");
+            (policy, pool)
+        });
+        let sweep =
+            |plan: &CompiledPlan, scratch: &mut RunScratch, rhs: &[f64], out: &mut [f64]| {
+                if let Some(cause) = cancel.and_then(CancelToken::check) {
+                    return Err(cause);
+                }
+                match policy {
+                    Some((policy, pool)) => plan.try_run(pool, policy, scratch, rhs, out, cancel),
+                    None => Ok(plan.run_sequential(scratch, rhs, out)),
+                }
+            };
+        let fwd = sweep(&self.fwd, &mut scratch.fwd, b, &mut scratch.y)?;
+        let bwd = sweep(&self.bwd, &mut scratch.bwd, &scratch.y, x)?;
         Ok((fwd, bwd))
     }
 }
@@ -783,10 +553,10 @@ impl CompiledTriSolve {
         w.put_u8(kind_to_u8(p.kind));
         put_coalesce(&mut w, p.coalesce_l);
         put_coalesce(&mut w, p.coalesce_u);
-        w.put_usizes32(p.l.indptr());
-        w.put_u32s(p.l.indices());
-        w.put_usizes32(p.u.indptr());
-        w.put_u32s(p.u.indices());
+        w.put_usizes32(p.factors.l.indptr());
+        w.put_u32s(p.factors.l.indices());
+        w.put_usizes32(p.factors.u.indptr());
+        w.put_u32s(p.factors.u.indices());
         // The dependence graphs are NOT stored: they are deterministic,
         // cheap functions of the factor structure above (the L graph's
         // adjacency arrays coincide with `l`'s; the U graph is the
@@ -811,16 +581,9 @@ impl CompiledTriSolve {
     /// compile.
     ///
     /// The reconstructed plan carries **placeholder numeric values**
-    /// (zeros; unit inverse diagonal). It is only valid for the
-    /// per-call-value paths — [`CompiledTriSolve::solve`],
-    /// [`CompiledTriSolve::solve_fused_sequential`],
-    /// [`CompiledTriSolve::load_values`] +
-    /// [`CompiledTriSolve::solve_loaded`], and
-    /// [`TriangularSolvePlan::solve_with`] — which are bit-exact with a
-    /// freshly inspected plan because they gather every coefficient from
-    /// the caller's factors. The value-owning convenience paths
-    /// ([`TriangularSolvePlan::solve`]/`forward`/`backward`) would solve
-    /// with the placeholders; do not use them on a decoded plan.
+    /// (zeros). Every solving path of a `CompiledTriSolve` gathers its
+    /// coefficients from the caller's factors, so a decoded plan solves
+    /// bit-exactly like a freshly inspected one.
     pub fn decode_artifact(bytes: &[u8]) -> WireResult<CompiledTriSolve> {
         let mut r = WireReader::new(bytes);
         let version = r.u32()?;
@@ -882,50 +645,15 @@ impl CompiledTriSolve {
                 "compiled layout value counts disagree with factor structure".into(),
             ));
         }
-        // The same hoisting pass TriangularSolvePlan::new runs — strict-upper
-        // filter, per-call gather map, diagonal positions — but leaning on
-        // the row-sortedness `Csr::try_new` just proved: one partition point
-        // splits each row into sub-diagonal | diagonal | strict upper, and
-        // the strict part copies over in bulk instead of element-by-element.
-        // Every row of U must carry its diagonal or the per-call inversion
-        // would read a stranger's coefficient.
-        let cap = u.nnz().saturating_sub(n);
-        let mut us_indptr = Vec::with_capacity(n + 1);
-        us_indptr.push(0usize);
-        let mut us_indices = Vec::with_capacity(cap);
-        let mut u_strict_src = Vec::with_capacity(cap);
-        let mut udiag_pos = vec![0u32; n];
-        for i in 0..n {
-            let lo = u.indptr()[i];
-            let row = u.row_indices(i);
-            let split = row.partition_point(|&j| (j as usize) < i);
-            if row.get(split) != Some(&(i as u32)) {
-                return Err(WireError::Invalid(format!(
-                    "artifact U row {i} stores no diagonal"
-                )));
-            }
-            udiag_pos[i] = (lo + split) as u32;
-            let strict = &row[split + 1..];
-            us_indices.extend_from_slice(strict);
-            let first = (lo + split + 1) as u32;
-            u_strict_src.extend(first..first + strict.len() as u32);
-            us_indptr.push(us_indices.len());
-        }
-        let us_vals = vec![0.0; us_indices.len()];
-        // Sound without re-validation: the indptr is monotone by
-        // construction and every row is a tail of a strictly increasing,
-        // bounds-checked row of `u`.
-        let u_strict = Csr::new_unchecked(n, n, us_indptr, us_indices, us_vals);
+        // Every row of U must carry its diagonal, or the backward sweep's
+        // reciprocal scale would read a stranger's coefficient.
+        let udiag_pos = diag_positions(&u).map_err(|row| {
+            WireError::Invalid(format!("artifact U row {row} stores no diagonal"))
+        })?;
         let plan = TriangularSolvePlan {
             n,
-            l,
-            u,
-            u_strict,
-            u_strict_src,
+            factors: IluFactors { l, u },
             udiag_pos,
-            // Placeholder: per-call paths recompute the inverse diagonal
-            // from the caller's values; this array is never read by them.
-            udiag_inv: vec![1.0; n],
             plan_l,
             plan_u,
             kind,
@@ -934,6 +662,18 @@ impl CompiledTriSolve {
         };
         Ok(CompiledTriSolve { plan, fwd, bwd })
     }
+}
+
+/// Position in `u`'s value array of each row's diagonal, or the first row
+/// that stores none.
+fn diag_positions(u: &Csr) -> std::result::Result<Vec<u32>, usize> {
+    (0..u.nrows())
+        .map(|i| {
+            let lo = u.indptr()[i];
+            let k = u.row_indices(i).iter().position(|&j| j as usize == i);
+            k.map(|k| (lo + k) as u32).ok_or(i)
+        })
+        .collect()
 }
 
 fn make_plan(
@@ -975,6 +715,38 @@ mod tests {
         x
     }
 
+    /// The bit-exact reference: natural-order sweeps with the compiled
+    /// layout's arithmetic — operand products subtracted in CSR order, and
+    /// the backward row scaled by `1.0 / d` (`reference_solve` divides, so
+    /// it agrees only to rounding).
+    fn oracle_solve(f: &IluFactors, b: &[f64]) -> Vec<f64> {
+        let n = f.n();
+        let mut y = vec![0.0; n];
+        for i in 0..n {
+            y[i] = f.l.row(i).fold(b[i], |acc, (j, v)| acc - v * y[j]);
+        }
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let (mut acc, mut d) = (y[i], 0.0);
+            for (j, v) in f.u.row(i) {
+                match j.cmp(&i) {
+                    std::cmp::Ordering::Greater => acc -= v * x[j],
+                    std::cmp::Ordering::Equal => d = v,
+                    std::cmp::Ordering::Less => {}
+                }
+            }
+            x[i] = acc * (1.0 / d);
+        }
+        x
+    }
+
+    fn compiled_for(f: &IluFactors, nprocs: usize, sorting: Sorting) -> CompiledTriSolve {
+        TriangularSolvePlan::new(f, nprocs, ExecutorKind::Sequential, sorting)
+            .unwrap()
+            .compile()
+            .unwrap()
+    }
+
     #[test]
     fn all_executors_match_reference() {
         let a = laplacian_5pt(9, 7);
@@ -984,22 +756,18 @@ mod tests {
         let expect = reference_solve(&f, &b);
         let nprocs = 3;
         let pool = WorkerPool::new(nprocs);
-        for kind in [
-            ExecutorKind::Sequential,
-            ExecutorKind::Doacross,
-            ExecutorKind::PreScheduled,
-            ExecutorKind::PreScheduledElided,
-            ExecutorKind::SelfExecuting,
+        for sorting in [
+            Sorting::Global,
+            Sorting::LocalStriped,
+            Sorting::LocalContiguous,
         ] {
-            for sorting in [
-                Sorting::Global,
-                Sorting::LocalStriped,
-                Sorting::LocalContiguous,
-            ] {
-                let plan = TriangularSolvePlan::new(&f, nprocs, kind, sorting).unwrap();
+            let compiled = compiled_for(&f, nprocs, sorting);
+            let mut scratch = compiled.scratch();
+            for kind in ExecutorKind::ALL {
                 let mut x = vec![0.0; n];
-                let mut work = vec![0.0; n];
-                plan.solve(&pool, &b, &mut x, &mut work);
+                compiled
+                    .solve(Some(&pool), kind, &f, &b, &mut x, &mut scratch)
+                    .unwrap();
                 assert!(
                     max_abs_diff(&x, &expect) < 1e-12,
                     "{kind:?}/{sorting:?} deviates"
@@ -1042,28 +810,35 @@ mod tests {
     fn plan_is_reusable_across_right_hand_sides() {
         let a = laplacian_5pt(5, 5);
         let f = ilu0(&a).unwrap();
-        let plan =
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
+        let compiled = compiled_for(&f, 2, Sorting::Global);
+        let mut scratch = compiled.scratch();
         let pool = WorkerPool::new(2);
         for seed in 0..4 {
             let b: Vec<f64> = (0..25).map(|i| ((i + seed) as f64).cos()).collect();
             let expect = reference_solve(&f, &b);
             let mut x = vec![0.0; 25];
-            let mut work = vec![0.0; 25];
-            plan.solve(&pool, &b, &mut x, &mut work);
+            compiled
+                .solve(
+                    Some(&pool),
+                    ExecutorKind::SelfExecuting,
+                    &f,
+                    &b,
+                    &mut x,
+                    &mut scratch,
+                )
+                .unwrap();
             assert!(max_abs_diff(&x, &expect) < 1e-12);
         }
     }
 
     #[test]
-    fn solve_with_refreshes_values_on_a_cached_structure() {
-        // Build the plan from one set of factor values, then solve with a
+    fn refreshed_values_are_bit_exact_across_kinds() {
+        // Compile the plan from one set of factor values, then solve with a
         // *different* set sharing the pattern: results must match the
-        // reference for the new values, under every discipline.
+        // oracle for the new values bit for bit, under every discipline.
         let a = laplacian_5pt(7, 6);
         let f_old = ilu0(&a).unwrap();
-        let plan =
-            TriangularSolvePlan::new(&f_old, 3, ExecutorKind::Sequential, Sorting::Global).unwrap();
+        let compiled = compiled_for(&f_old, 3, Sorting::Global);
         // New values: scale the matrix, refactor — same pattern, new numbers.
         let mut a2 = a.clone();
         for (k, v) in a2.data_mut().iter_mut().enumerate() {
@@ -1074,51 +849,32 @@ mod tests {
         assert_ne!(f_old.u.data(), f_new.u.data());
         let n = f_new.n();
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
-        let expect = reference_solve(&f_new, &b);
+        let expect = oracle_solve(&f_new, &b);
         let pool = WorkerPool::new(3);
-        let mut scratch = SolveScratch::new(n);
-        let mut seq = vec![0.0; n];
-        plan.solve_with(
-            None,
-            ExecutorKind::Sequential,
-            &f_new,
-            &b,
-            &mut seq,
-            &mut scratch,
-        )
-        .unwrap();
-        assert!(max_abs_diff(&seq, &expect) < 1e-12);
-        for kind in [
-            ExecutorKind::Doacross,
-            ExecutorKind::PreScheduled,
-            ExecutorKind::PreScheduledElided,
-            ExecutorKind::SelfExecuting,
-        ] {
+        let mut scratch = compiled.scratch();
+        for kind in ExecutorKind::ALL {
             let mut x = vec![0.0; n];
-            let (fwd, bwd) = plan
-                .solve_with(Some(&pool), kind, &f_new, &b, &mut x, &mut scratch)
+            let (fwd, bwd) = compiled
+                .solve(Some(&pool), kind, &f_new, &b, &mut x, &mut scratch)
                 .unwrap();
-            // Bit-exact across disciplines: every executor performs the
-            // identical per-row arithmetic.
-            assert_eq!(x, seq, "{kind:?}");
+            assert_eq!(x, expect, "{kind:?}");
             assert_eq!(fwd.total_iters() as usize, n);
             assert_eq!(bwd.total_iters() as usize, n);
         }
     }
 
     #[test]
-    fn solve_with_rejects_mismatched_pattern() {
+    fn compiled_solve_rejects_mismatched_pattern() {
         let f_a = ilu0(&laplacian_5pt(5, 5)).unwrap();
         let f_b = ilu0(&laplacian_5pt(6, 5)).unwrap();
-        let plan =
-            TriangularSolvePlan::new(&f_a, 2, ExecutorKind::Sequential, Sorting::Global).unwrap();
+        let compiled = compiled_for(&f_a, 2, Sorting::Global);
         let pool = WorkerPool::new(2);
         let n_b = f_b.n();
         let b = vec![1.0; n_b];
         let mut x = vec![0.0; n_b];
-        let mut scratch = SolveScratch::new(n_b);
+        let mut scratch = compiled.scratch();
         assert!(matches!(
-            plan.solve_with(
+            compiled.solve(
                 Some(&pool),
                 ExecutorKind::Sequential,
                 &f_b,
@@ -1130,41 +886,19 @@ mod tests {
         ));
     }
 
+    /// Every kind at 1/2/4 processors against [`oracle_solve`], bit for bit.
     #[test]
     fn compiled_solve_is_bit_exact_with_fallback_for_every_kind() {
         let a = laplacian_5pt(8, 7);
         let f = ilu0(&a).unwrap();
         let n = f.n();
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.21).sin()).collect();
+        let reference = oracle_solve(&f, &b);
         for nprocs in [1usize, 2, 4] {
-            let plan =
-                TriangularSolvePlan::new(&f, nprocs, ExecutorKind::Sequential, Sorting::Global)
-                    .unwrap();
-            let compiled =
-                TriangularSolvePlan::new(&f, nprocs, ExecutorKind::Sequential, Sorting::Global)
-                    .unwrap()
-                    .compile()
-                    .unwrap();
+            let compiled = compiled_for(&f, nprocs, Sorting::Global);
             let pool = WorkerPool::new(nprocs);
-            let mut fb_scratch = SolveScratch::new(n);
             let mut c_scratch = compiled.scratch();
-            let mut reference = vec![0.0; n];
-            plan.solve_with(
-                None,
-                ExecutorKind::Sequential,
-                &f,
-                &b,
-                &mut reference,
-                &mut fb_scratch,
-            )
-            .unwrap();
-            for kind in [
-                ExecutorKind::Sequential,
-                ExecutorKind::Doacross,
-                ExecutorKind::PreScheduled,
-                ExecutorKind::PreScheduledElided,
-                ExecutorKind::SelfExecuting,
-            ] {
+            for kind in ExecutorKind::ALL {
                 let mut x = vec![0.0; n];
                 let (fwd, bwd) = compiled
                     .solve(Some(&pool), kind, &f, &b, &mut x, &mut c_scratch)
@@ -1172,11 +906,6 @@ mod tests {
                 assert_eq!(x, reference, "{kind:?}/{nprocs} compiled deviates");
                 assert_eq!(fwd.total_iters() as usize, n);
                 assert_eq!(bwd.total_iters() as usize, n);
-                // The uncompiled path under the same kind must agree too.
-                let mut fb = vec![0.0; n];
-                plan.solve_with(Some(&pool), kind, &f, &b, &mut fb, &mut fb_scratch)
-                    .unwrap();
-                assert_eq!(fb, reference, "{kind:?}/{nprocs} fallback deviates");
             }
         }
     }
@@ -1344,13 +1073,21 @@ mod tests {
         let n = f.n();
         let b = vec![1.0; n];
         let pool = WorkerPool::new(2);
-        let plan =
-            TriangularSolvePlan::new(&f, 2, ExecutorKind::PreScheduled, Sorting::Global).unwrap();
+        let compiled = compiled_for(&f, 2, Sorting::Global);
         let mut x = vec![0.0; n];
-        let mut work = vec![0.0; n];
-        let (fwd, bwd) = plan.solve_reporting(&pool, &b, &mut x, &mut work);
-        assert_eq!(fwd.barriers as usize, plan.num_phases().0 - 1);
-        assert_eq!(bwd.barriers as usize, plan.num_phases().1 - 1);
+        let (fwd, bwd) = compiled
+            .solve(
+                Some(&pool),
+                ExecutorKind::PreScheduled,
+                &f,
+                &b,
+                &mut x,
+                &mut compiled.scratch(),
+            )
+            .unwrap();
+        let (phases_l, phases_u) = compiled.plan().num_phases();
+        assert_eq!(fwd.barriers as usize, phases_l - 1);
+        assert_eq!(bwd.barriers as usize, phases_u - 1);
         assert_eq!(fwd.stalls, 0);
         assert_eq!(fwd.total_iters() as usize, n);
     }

@@ -489,7 +489,7 @@ impl Runtime {
         };
         let entry = slot.get();
         let kind = self.choose_policy(&entry.adaptive);
-        let (mut scratch, info) = entry.scratches.lease(|| entry.compiled.scratch());
+        let (mut scratch, info) = entry.scratches.lease(|| entry.plan.scratch());
         self.note_lease(info);
         let lease = kind.policy().map(|_| self.pools.lease());
         // Sequential group leaders: a factor object appearing exactly once
@@ -524,15 +524,15 @@ impl Runtime {
                         return Err(crate::RuntimeError::from(cause));
                     }
                     entry
-                        .compiled
+                        .plan
                         .solve_fused_sequential(factors, b, x, &mut scratch)?
                 } else {
                     if loaded != Some(ptr) {
                         loaded = None;
-                        entry.compiled.load_values(factors, &mut scratch)?;
+                        entry.plan.load_values(factors, &mut scratch)?;
                         loaded = Some(ptr);
                     }
-                    entry.compiled.solve_loaded_cancellable(
+                    entry.plan.solve_loaded_cancellable(
                         lease.as_deref(),
                         kind,
                         b,
@@ -697,7 +697,7 @@ impl Runtime {
         };
         let entry = slot.get();
         let kind = self.choose_policy(&entry.adaptive);
-        let (mut scratch, info) = entry.scratches.lease(|| entry.compiled.scratch());
+        let (mut scratch, info) = entry.scratches.lease(|| entry.plan.scratch());
         self.note_lease(info);
         let lease = kind.policy().map(|p| (p, self.pools.lease()));
         let mut loaded: Option<*const [f64]> = None;
@@ -714,7 +714,7 @@ impl Runtime {
                 if loaded != Some(ptr) {
                     loaded = None;
                     entry
-                        .compiled
+                        .plan
                         .load_values(&mut scratch, vals)
                         .map_err(crate::service::map_compiled)?;
                     loaded = Some(ptr);
@@ -724,16 +724,13 @@ impl Runtime {
                         if let Some(cause) = token.as_ref().and_then(CancelToken::check) {
                             return Err(crate::RuntimeError::from(cause));
                         }
-                        entry.compiled.run_sequential(&mut scratch, rhs, out)
+                        entry.plan.run_sequential(&mut scratch, rhs, out)
                     }
-                    Some((policy, pool)) => entry.compiled.try_run(
-                        pool,
-                        *policy,
-                        &mut scratch,
-                        rhs,
-                        out,
-                        token.as_ref(),
-                    )?,
+                    Some((policy, pool)) => {
+                        entry
+                            .plan
+                            .try_run(pool, *policy, &mut scratch, rhs, out, token.as_ref())?
+                    }
                 };
                 wall_sum += report.wall.as_nanos() as f64;
                 runs += 1;

@@ -287,34 +287,32 @@ pub struct RunOutcome {
     pub report: ExecReport,
 }
 
-/// Cached state for one factor structure: the immutable compiled plan
-/// (shared by every in-flight request) plus a lease pool of per-run
-/// scratches. N threads hitting the same fingerprint run N solves in
-/// parallel — the expensive part (schedules, compiled layouts, barrier
-/// plans) exists once, the cheap part (epoch-stamped buffers, gathered
-/// values) is replicated on demand and recycled. Only the adaptive
-/// explore/exploit bookkeeping sits behind a (briefly held) mutex.
-pub struct SolveEntry {
-    pub(crate) compiled: CompiledTriSolve,
+/// Cached state for one plan structure — a triangular-solve pattern
+/// ([`CompiledTriSolve`]), a generic loop ([`PlannedLoop`]) or a compiled
+/// linear loop ([`CompiledPlan`]): the immutable plan (shared by every
+/// in-flight request) plus a lease pool of per-run scratches. N threads
+/// hitting the same fingerprint run N executions in parallel — the
+/// expensive part (schedules, compiled layouts, barrier plans) exists once,
+/// the cheap part (epoch-stamped buffers, gathered values) is replicated on
+/// demand and recycled. Only the adaptive explore/exploit bookkeeping sits
+/// behind a (briefly held) mutex.
+pub(crate) struct Entry<P, S> {
+    pub(crate) plan: P,
     pub(crate) adaptive: Mutex<AdaptiveState>,
-    pub(crate) scratches: LeasePool<CompiledSolveScratch>,
+    pub(crate) scratches: LeasePool<S>,
 }
 
-/// Cached state for one generic loop structure, split exactly like
-/// [`SolveEntry`]: one shared [`PlannedLoop`], leased [`LoopScratch`]es.
-pub struct LoopEntry {
-    pub(crate) plan: PlannedLoop,
-    pub(crate) adaptive: Mutex<AdaptiveState>,
-    pub(crate) scratches: LeasePool<LoopScratch>,
-}
+/// A triangular-solve pattern's cache entry.
+pub(crate) type CachedSolve = Entry<CompiledTriSolve, CompiledSolveScratch>;
 
-/// Cached state for one compiled linear-recurrence loop structure
-/// ([`Runtime::run_linear`] / [`crate::JobKind::LinearLoop`]): the
-/// schedule-order [`CompiledPlan`] layout plus leased [`RunScratch`]es.
-pub struct LinearEntry {
-    pub(crate) compiled: CompiledPlan,
-    pub(crate) adaptive: Mutex<AdaptiveState>,
-    pub(crate) scratches: LeasePool<RunScratch>,
+impl<P, S> Entry<P, S> {
+    fn new(plan: P, adaptive: AdaptiveState) -> Self {
+        Entry {
+            plan,
+            adaptive: Mutex::new(adaptive),
+            scratches: LeasePool::new(),
+        }
+    }
 }
 
 /// The multi-client solver service: concurrent plan caches in front of the
@@ -324,9 +322,9 @@ pub struct Runtime {
     pub(crate) cfg: RuntimeConfig,
     pub(crate) selector: PolicySelector,
     pub(crate) pools: PoolSet,
-    pub(crate) solves: PlanCache<SolveEntry>,
-    pub(crate) loops: PlanCache<LoopEntry>,
-    pub(crate) linears: PlanCache<LinearEntry>,
+    pub(crate) solves: PlanCache<CachedSolve>,
+    pub(crate) loops: PlanCache<Entry<PlannedLoop, LoopScratch>>,
+    pub(crate) linears: PlanCache<Entry<CompiledPlan, RunScratch>>,
     pub(crate) policy_runs: [AtomicU64; 5],
     pub(crate) scratches_created: AtomicU64,
     pub(crate) peak_same_pattern: AtomicU64,
@@ -565,7 +563,7 @@ impl Runtime {
     /// inspector; otherwise (or when the record is absent, corrupt, or
     /// built for a different processor count) the pattern pays the full
     /// cold inspection and the fresh plan is spilled write-behind.
-    pub(crate) fn build_solve_entry(&self, factors: &IluFactors) -> Result<SolveEntry> {
+    pub(crate) fn build_solve_entry(&self, factors: &IluFactors) -> Result<CachedSolve> {
         let key = Self::solve_key(factors).as_u128();
         if let Some(entry) = self.load_solve_entry(key) {
             return Ok(entry);
@@ -610,7 +608,7 @@ impl Runtime {
     }
 
     /// The genuinely cold path: inspects, predicts, and compiles.
-    fn inspect_solve_entry(&self, factors: &IluFactors) -> Result<SolveEntry> {
+    fn inspect_solve_entry(&self, factors: &IluFactors) -> Result<CachedSolve> {
         let plan = TriangularSolvePlan::new_with_grain(
             factors,
             self.cfg.nprocs,
@@ -629,11 +627,7 @@ impl Runtime {
             self.verify_or_reject(rtpl_verify::verify_tri_solve(&compiled))?;
         }
         self.note_solve_plan(&compiled);
-        Ok(SolveEntry {
-            compiled,
-            adaptive: Mutex::new(AdaptiveState::new(prior)),
-            scratches: LeasePool::new(),
-        })
+        Ok(Entry::new(compiled, AdaptiveState::new(prior)))
     }
 
     /// Folds one plan-verification verdict into the counters, mapping a
@@ -660,7 +654,7 @@ impl Runtime {
     /// (`store_load_errors`: corruption, truncation, format drift, or an
     /// artifact compiled for a different `nprocs`). Never fails the
     /// request.
-    fn load_solve_entry(&self, key: u128) -> Option<SolveEntry> {
+    fn load_solve_entry(&self, key: u128) -> Option<CachedSolve> {
         let store = self.store.as_ref()?;
         let payload = match store.get(key) {
             Ok(Some(p)) => p,
@@ -693,14 +687,14 @@ impl Runtime {
     /// context matches bitwise reuses the prior instead of re-running the
     /// prediction simulations; any drift (recalibration, different core
     /// count) makes it recompute.
-    fn encode_solve_payload(&self, entry: &SolveEntry) -> Vec<u8> {
+    fn encode_solve_payload(&self, entry: &CachedSolve) -> Vec<u8> {
         let adaptive = entry.adaptive.lock().unwrap_or_else(|e| e.into_inner());
         let (measured, count) = adaptive.snapshot();
         let prior = adaptive.prior();
         drop(adaptive);
         let cost = self.selector.cost_model();
         let mut w = WireWriter::new();
-        w.put_u8s(&entry.compiled.encode_artifact());
+        w.put_u8s(&entry.plan.encode_artifact());
         // The coalescing grain is part of the prior's context: a restarted
         // runtime with a different grain would schedule (and price) the
         // pattern differently, so its stored prior must not resume.
@@ -729,7 +723,7 @@ impl Runtime {
     /// re-running them would reproduce it); on any mismatch — or a prior
     /// with no feasible arm left — it is recomputed fresh from the
     /// decoded plans, and the persisted measurements resume on top.
-    fn decode_solve_payload(&self, payload: &[u8]) -> std::result::Result<SolveEntry, WireError> {
+    fn decode_solve_payload(&self, payload: &[u8]) -> std::result::Result<CachedSolve, WireError> {
         let mut r = WireReader::new(payload);
         let artifact = r.u8s_ref()?;
         let stored_cost: [f64; 5] = r.f64s()?.try_into().map_err(|_| {
@@ -784,15 +778,14 @@ impl Runtime {
             prior
         };
         self.note_solve_plan(&compiled);
-        Ok(SolveEntry {
+        Ok(Entry::new(
             compiled,
-            adaptive: Mutex::new(AdaptiveState::resume(prior, measured, count)),
-            scratches: LeasePool::new(),
-        })
+            AdaptiveState::resume(prior, measured, count),
+        ))
     }
 
     /// Queues one entry's payload on the store's write-behind channel.
-    fn spill_solve_entry(&self, key: u128, entry: &SolveEntry) {
+    fn spill_solve_entry(&self, key: u128, entry: &CachedSolve) {
         if let Some(store) = self.store.as_ref() {
             if store.put(key, self.encode_solve_payload(entry)) {
                 self.store_writes.fetch_add(1, Ordering::Relaxed);
@@ -802,13 +795,8 @@ impl Runtime {
 
     /// Schedules one generic loop structure (the cold path of
     /// [`Runtime::run`], [`Runtime::run_spec`], and loop groups).
-    pub(crate) fn build_loop_entry(&self, g: DepGraph) -> Result<LoopEntry> {
-        let wf = Wavefronts::compute(&g)?;
-        let mut schedule = self.build_schedule(&wf, g.n())?;
-        if let Some(grain) = self.coalesce_grain() {
-            schedule = schedule.coalesce(&g, grain)?.0;
-        }
-        let plan = PlannedLoop::new(g, schedule)?;
+    pub(crate) fn build_loop_entry(&self, g: DepGraph) -> Result<Entry<PlannedLoop, LoopScratch>> {
+        let plan = self.plan_loop(g)?;
         if self.cfg.verify_plans {
             self.verify_or_reject(rtpl_verify::verify_plan(
                 plan.graph(),
@@ -817,35 +805,35 @@ impl Runtime {
             ))?;
         }
         let prior = self.selector.predict(&plan);
-        Ok(LoopEntry {
-            plan,
-            adaptive: Mutex::new(AdaptiveState::new(prior)),
-            scratches: LeasePool::new(),
-        })
+        Ok(Entry::new(plan, AdaptiveState::new(prior)))
     }
 
     /// Schedules **and compiles** one linear-recurrence loop structure
     /// into its schedule-order layout (the cold path of
     /// [`Runtime::run_linear`] and linear groups).
-    pub(crate) fn build_linear_entry(&self, spec: &crate::LoopSpec) -> Result<LinearEntry> {
-        let g = spec.graph().clone();
-        let wf = Wavefronts::compute(&g)?;
-        let mut schedule = self.build_schedule(&wf, g.n())?;
-        if let Some(grain) = self.coalesce_grain() {
-            schedule = schedule.coalesce(&g, grain)?.0;
-        }
-        let plan = PlannedLoop::new(g, schedule)?;
+    pub(crate) fn build_linear_entry(
+        &self,
+        spec: &crate::LoopSpec,
+    ) -> Result<Entry<CompiledPlan, RunScratch>> {
+        let plan = self.plan_loop(spec.graph().clone())?;
         let prior = self.selector.predict(&plan);
         let cspec = rtpl_executor::compiled::CompiledSpec::linear_from_graph(plan.graph());
         let compiled = CompiledPlan::compile(&plan, &cspec).map_err(map_compiled)?;
         if self.cfg.verify_plans {
             self.verify_or_reject(rtpl_verify::verify_linear(&plan, &compiled))?;
         }
-        Ok(LinearEntry {
-            compiled,
-            adaptive: Mutex::new(AdaptiveState::new(prior)),
-            scratches: LeasePool::new(),
-        })
+        Ok(Entry::new(compiled, AdaptiveState::new(prior)))
+    }
+
+    /// Inspects one loop structure: wavefronts, the configured schedule,
+    /// and coalescing at the runtime's grain.
+    fn plan_loop(&self, g: DepGraph) -> Result<PlannedLoop> {
+        let wf = Wavefronts::compute(&g)?;
+        let mut schedule = self.build_schedule(&wf, g.n())?;
+        if let Some(grain) = self.coalesce_grain() {
+            schedule = schedule.coalesce(&g, grain)?.0;
+        }
+        Ok(PlannedLoop::new(g, schedule)?)
     }
 
     /// The schedule the configured sorting discipline prescribes.
@@ -900,7 +888,7 @@ impl Runtime {
         })?;
         let entry = slot.get();
         let kind = self.choose_policy(&entry.adaptive);
-        let (mut scratch, info) = entry.scratches.lease(|| entry.compiled.scratch());
+        let (mut scratch, info) = entry.scratches.lease(|| entry.plan.scratch());
         self.note_lease(info);
         // Sequential runs fork no team — don't lease (or ever spawn) one.
         let lease = kind.policy().map(|_| self.pools.lease());
@@ -915,11 +903,11 @@ impl Runtime {
                 return Err(crate::RuntimeError::from(cause));
             }
             entry
-                .compiled
+                .plan
                 .solve_fused_sequential(factors, b, x, &mut scratch)?
         } else {
-            entry.compiled.load_values(factors, &mut scratch)?;
-            entry.compiled.solve_loaded_cancellable(
+            entry.plan.load_values(factors, &mut scratch)?;
+            entry.plan.solve_loaded_cancellable(
                 lease.as_deref(),
                 kind,
                 b,
@@ -997,7 +985,7 @@ impl Runtime {
     /// The shared execution half of [`Runtime::run`] / [`Runtime::run_spec`].
     pub(crate) fn run_loop_entry<B: LoopBody>(
         &self,
-        entry: &LoopEntry,
+        entry: &Entry<PlannedLoop, LoopScratch>,
         key: PatternFingerprint,
         built: bool,
         body: &B,
@@ -1085,10 +1073,10 @@ impl Runtime {
         })?;
         let entry = slot.get();
         let kind = self.choose_policy(&entry.adaptive);
-        let (mut scratch, info) = entry.scratches.lease(|| entry.compiled.scratch());
+        let (mut scratch, info) = entry.scratches.lease(|| entry.plan.scratch());
         self.note_lease(info);
         entry
-            .compiled
+            .plan
             .load_values(&mut scratch, vals)
             .map_err(map_compiled)?;
         let report = match kind.policy() {
@@ -1098,12 +1086,12 @@ impl Runtime {
                 if let Some(cause) = cancel.and_then(CancelToken::check) {
                     return Err(crate::RuntimeError::from(cause));
                 }
-                entry.compiled.run_sequential(&mut scratch, rhs, out)
+                entry.plan.run_sequential(&mut scratch, rhs, out)
             }
             Some(policy) => {
                 let pool = self.pools.lease();
                 entry
-                    .compiled
+                    .plan
                     .try_run(&pool, policy, &mut scratch, rhs, out, cancel)?
             }
         };
@@ -1542,7 +1530,15 @@ mod tests {
         let plan =
             TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
         let mut x_ref = vec![0.0; n];
-        let s_ref = cg(&pool, &a, &b, &mut x_ref, &Preconditioner::Ilu(plan), &cfg).unwrap();
+        let s_ref = cg(
+            &pool,
+            &a,
+            &b,
+            &mut x_ref,
+            &Preconditioner::ilu(plan).unwrap(),
+            &cfg,
+        )
+        .unwrap();
 
         // Same solve, applications routed through the runtime cache.
         let rt = Runtime::new(RuntimeConfig {

@@ -23,6 +23,9 @@
 //! [`init_from_env`] (modes: `always`, `times:N`, `onein:N`). Every fire
 //! is counted ([`trips`]), so metrics can report how much injected fault
 //! load a process absorbed.
+//!
+//! The registry is process-global, so a test that arms a point evaluated by
+//! shared code lives in its own test binary.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -2,8 +2,9 @@
 //! executor's `verify-trace` hooks, replayed through the vector-clock
 //! checker.
 //!
-//! Healthy plans — every policy, several processor counts, random DAGs —
-//! must replay with **zero** unordered conflicting accesses; a
+//! Healthy plans — every policy, several processor counts, random DAGs,
+//! both as `PlannedLoop` bodies and as compiled layouts — must replay with
+//! **zero** unordered conflicting accesses; a
 //! deliberately over-elided barrier plan must be flagged both statically
 //! (by [`rtpl_verify::verify_plan`]) and dynamically (by the oracle
 //! observing the unsynchronized read the missing barrier permits).
@@ -12,7 +13,9 @@
 #![cfg(feature = "verify-trace")]
 
 use rtpl_executor::trace;
-use rtpl_executor::{ExecPolicy, LoopBody, PlannedLoop, ValueSource, WorkerPool};
+use rtpl_executor::{
+    CompiledPlan, CompiledSpec, ExecPolicy, LoopBody, PlannedLoop, ValueSource, WorkerPool,
+};
 use rtpl_inspector::{BarrierPlan, DepGraph, Partition, Schedule, Wavefronts};
 use rtpl_sparse::rng::SmallRng;
 use rtpl_sparse::wire::{WireReader, WireWriter};
@@ -59,8 +62,44 @@ const POLICIES: [ExecPolicy; 4] = [
     ExecPolicy::Doacross,
 ];
 
+/// Replays `plan`'s compiled layout — the `CompiledSpec::linear_from_graph`
+/// recurrence, one coefficient per dependence edge — under every policy:
+/// each run must be race-free, complete every barrier generation, and
+/// match the compiled sequential sweep bit for bit.
+fn replay_compiled(plan: &PlannedLoop, pool: &WorkerPool, ctx: &str) {
+    let g = plan.graph();
+    let n = g.n();
+    let compiled = CompiledPlan::compile(plan, &CompiledSpec::linear_from_graph(g)).unwrap();
+    let coefs: Vec<f64> = (0..g.num_edges())
+        .map(|k| -0.5 / (1 + k % 3) as f64)
+        .collect();
+    let mut scratch = compiled.scratch();
+    compiled.load_values(&mut scratch, &coefs).unwrap();
+    let rhs = vec![1.0; n];
+    let mut expect = vec![0.0; n];
+    compiled.run_sequential(&mut scratch, &rhs, &mut expect);
+    for policy in POLICIES {
+        let mut out = vec![0.0; n];
+        let (_, events) =
+            trace::capture(|| compiled.run(pool, policy, &mut scratch, &rhs, &mut out));
+        let report = check_trace(plan.nprocs(), &events)
+            .unwrap_or_else(|e| panic!("{ctx} compiled {policy:?}: {e}"));
+        assert!(
+            report.writes >= n,
+            "{ctx} compiled {policy:?}: {} writes for {n} rows",
+            report.writes
+        );
+        assert_eq!(
+            report.incomplete_barriers, 0,
+            "{ctx} compiled {policy:?}: a barrier generation was left incomplete"
+        );
+        assert_eq!(out, expect, "{ctx} compiled {policy:?}: result deviates");
+    }
+}
+
 /// The equivalence sweep, under the oracle: every policy × 1/2/4
-/// processors × random DAGs replays race-free.
+/// processors × random DAGs replays race-free, through both the
+/// `PlannedLoop` body and the compiled layout.
 #[test]
 fn healthy_plans_replay_race_free_across_policies_and_procs() {
     for seed in [0x5EED_u64, 0xBEEF] {
@@ -91,6 +130,7 @@ fn healthy_plans_replay_race_free_across_policies_and_procs() {
                      barrier generation incomplete"
                 );
             }
+            replay_compiled(&plan, &pool, &format!("seed {seed:#x} x{nprocs}"));
         }
     }
 }
@@ -98,7 +138,8 @@ fn healthy_plans_replay_race_free_across_policies_and_procs() {
 /// Coalesced schedules drop almost every barrier and rely on same-thread
 /// program order inside merged phases — the oracle must confirm that
 /// really is synchronization: every policy × 1/2/4 processors × random
-/// DAGs, coalesced at a grain that merges aggressively, replays race-free.
+/// DAGs, coalesced at a grain that merges aggressively, replays race-free
+/// through both the `PlannedLoop` body and the compiled layout.
 #[test]
 fn coalesced_plans_replay_race_free_across_policies_and_procs() {
     for seed in [0x5EED_u64, 0xC0A1] {
@@ -125,6 +166,7 @@ fn coalesced_plans_replay_race_free_across_policies_and_procs() {
                 });
                 assert!(report.writes >= n);
             }
+            replay_compiled(&plan, &pool, &format!("coalesced seed {seed:#x} x{nprocs}"));
         }
     }
 }

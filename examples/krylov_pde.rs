@@ -42,7 +42,7 @@ fn main() {
         "inspector (wavefronts + schedules): {:.1} ms; phases fwd {ph_l} / bwd {ph_u}",
         t0.elapsed().as_secs_f64() * 1e3
     );
-    let m = Preconditioner::Ilu(plan);
+    let m = Preconditioner::ilu(plan).expect("ILU preconditioner");
 
     // Manufactured solution: x* known, b = A x*.
     let x_true: Vec<f64> = (0..n).map(|i| ((i % 17) as f64 - 8.0) * 0.1).collect();

@@ -39,7 +39,7 @@ fn analyze(label: &str, a: &Csr) {
     let pool = WorkerPool::new(2);
     let plan =
         TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
-    let m = Preconditioner::Ilu(plan);
+    let m = Preconditioner::ilu(plan).expect("ILU preconditioner");
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.03).sin()).collect();
     let mut x = vec![0.0; n];
     let stats = gmres(

@@ -24,19 +24,22 @@ fn main() {
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.01).sin()).collect();
 
     // Reference sequential solve.
-    let plan_seq =
-        TriangularSolvePlan::new(&f, 1, ExecutorKind::Sequential, Sorting::Global).unwrap();
-    let pool1 = WorkerPool::new(1);
+    let seq = TriangularSolvePlan::new(&f, 1, ExecutorKind::Sequential, Sorting::Global)
+        .and_then(TriangularSolvePlan::compile)
+        .expect("inspect and compile");
+    let mut scratch = seq.scratch();
+    seq.load_values(&f, &mut scratch)
+        .expect("ILU(0) factor values");
     let mut x_ref = vec![0.0; n];
-    let mut work = vec![0.0; n];
     let t0 = Instant::now();
     let reps = 20;
     for _ in 0..reps {
-        plan_seq.solve(&pool1, &b, &mut x_ref, &mut work);
+        seq.solve_loaded(None, ExecutorKind::Sequential, &b, &mut x_ref, &mut scratch)
+            .expect("sequential solve");
     }
     let t_seq = t0.elapsed().as_secs_f64() / reps as f64;
     println!("sequential LU solve: {:.3} ms", t_seq * 1e3);
-    let (ph_l, ph_u) = plan_seq.num_phases();
+    let (ph_l, ph_u) = seq.plan().num_phases();
     println!("phases: forward {ph_l}, backward {ph_u}");
 
     // Host executors (thread count limited by this machine).
@@ -48,11 +51,17 @@ fn main() {
         ExecutorKind::PreScheduled,
         ExecutorKind::SelfExecuting,
     ] {
-        let plan = TriangularSolvePlan::new(&f, nprocs, kind, Sorting::Global).unwrap();
+        let plan = TriangularSolvePlan::new(&f, nprocs, kind, Sorting::Global)
+            .and_then(TriangularSolvePlan::compile)
+            .expect("inspect and compile");
+        let mut scratch = plan.scratch();
+        plan.load_values(&f, &mut scratch)
+            .expect("ILU(0) factor values");
         let mut x = vec![0.0; n];
         let t0 = Instant::now();
         for _ in 0..reps {
-            plan.solve(&pool, &b, &mut x, &mut work);
+            plan.solve_loaded(Some(&pool), kind, &b, &mut x, &mut scratch)
+                .expect("parallel solve");
         }
         let dt = t0.elapsed().as_secs_f64() / reps as f64;
         let err = x

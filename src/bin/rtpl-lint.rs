@@ -32,7 +32,6 @@ const ORDERING_ALLOWLIST: &[&str] = &[
     "crates/bench/src/bin/server_load.rs",
     "crates/executor/src/barrier.rs",
     "crates/executor/src/cancel.rs",
-    "crates/executor/src/compiled.rs",
     "crates/executor/src/doacross.rs",
     "crates/executor/src/doall.rs",
     "crates/executor/src/planned.rs",

@@ -1,4 +1,5 @@
-//! `ExecReport` accounting invariants, across policies and schedules:
+//! `ExecReport` accounting invariants, across policies and schedules, for
+//! `PlannedLoop` bodies and compiled layouts alike:
 //!
 //! * the per-processor iteration counts of every report sum to the trip
 //!   count `n`, with one slot per scheduled processor;
@@ -7,7 +8,7 @@
 //!   plan's `phases − 1`), while plain `PreScheduled` performs exactly
 //!   `phases − 1`.
 
-use rtpl::executor::WorkerPool;
+use rtpl::executor::{CompiledPlan, CompiledSpec, WorkerPool};
 use rtpl::inspector::{DepGraph, Partition, Schedule, Wavefronts};
 use rtpl::prelude::*;
 use rtpl::sparse::gen::laplacian_5pt;
@@ -44,6 +45,17 @@ impl LoopBody for DagBody<'_> {
     }
 }
 
+/// `plan`'s compiled layout (the linear recurrence over its graph, unit
+/// coefficients) with a loaded scratch.
+fn compiled_for(plan: &PlannedLoop) -> (CompiledPlan, rtpl::executor::RunScratch) {
+    let compiled =
+        CompiledPlan::compile(plan, &CompiledSpec::linear_from_graph(plan.graph())).unwrap();
+    let mut scratch = compiled.scratch();
+    let coefs = vec![0.5; compiled.expected_values()];
+    compiled.load_values(&mut scratch, &coefs).unwrap();
+    (compiled, scratch)
+}
+
 fn check_report_shape(report: &rtpl::ExecReport, n: usize, nprocs: usize, ctx: &str) {
     assert_eq!(
         report.iters_per_proc.len(),
@@ -74,12 +86,24 @@ fn iteration_counts_sum_to_n_for_every_policy() {
                 let report = plan.run(&pool, policy, &body, &mut out);
                 check_report_shape(&report, n, p, &format!("case {case}, p {p}, {policy:?}"));
             }
-            // The sequential reference reports one virtual processor.
+            let (compiled, mut scratch) = compiled_for(&plan);
+            let rhs = vec![1.0; n];
+            for policy in ExecPolicy::ALL {
+                let mut out = vec![0.0; n];
+                let report = compiled.run(&pool, policy, &mut scratch, &rhs, &mut out);
+                let ctx = format!("case {case}, p {p}, compiled {policy:?}");
+                check_report_shape(&report, n, p, &ctx);
+            }
+            // The sequential references report one virtual processor.
             let mut out = vec![0.0; n];
-            let seq = plan.run_sequential(&body, &mut out);
-            assert_eq!(seq.iters_per_proc, vec![n as u64]);
-            assert_eq!(seq.barriers, 0);
-            assert_eq!(seq.stalls, 0);
+            for seq in [
+                plan.run_sequential(&body, &mut out),
+                compiled.run_sequential(&mut scratch, &rhs, &mut out),
+            ] {
+                assert_eq!(seq.iters_per_proc, vec![n as u64]);
+                assert_eq!(seq.barriers, 0);
+                assert_eq!(seq.stalls, 0);
+            }
         }
     }
 }
@@ -121,6 +145,30 @@ fn elided_barrier_count_is_bounded_by_the_minimal_plan() {
             "{nx}x{ny}/{p}: full discipline pays every boundary"
         );
         assert!(elided.barriers <= full.barriers);
+        // The compiled layout runs under the same barrier plans.
+        let (compiled, mut scratch) = compiled_for(&plan);
+        let rhs = vec![1.0; n];
+        let mut out = vec![0.0; n];
+        let c_full = compiled.run(
+            &pool,
+            ExecPolicy::PreScheduled,
+            &mut scratch,
+            &rhs,
+            &mut out,
+        );
+        let c_elided = compiled.run(
+            &pool,
+            ExecPolicy::PreScheduledElided,
+            &mut scratch,
+            &rhs,
+            &mut out,
+        );
+        assert_eq!(c_full.barriers as usize, plan.num_phases() - 1);
+        assert!(
+            c_elided.barriers <= minimal,
+            "{nx}x{ny}/{p}: compiled elided run performed {} barriers, minimal plan allows {minimal}",
+            c_elided.barriers
+        );
         // On these shapes elision actually removes barriers — the
         // invariant is not vacuous.
         assert!(
@@ -146,6 +194,17 @@ fn random_dags_respect_the_elision_bound() {
             let elided = plan.run(&pool, ExecPolicy::PreScheduledElided, &body, &mut out);
             assert!(elided.barriers <= plan.barrier_plan().count() as u64);
             check_report_shape(&elided, n, p, "random elided");
+            let (compiled, mut scratch) = compiled_for(&plan);
+            let rhs = vec![1.0; n];
+            let elided = compiled.run(
+                &pool,
+                ExecPolicy::PreScheduledElided,
+                &mut scratch,
+                &rhs,
+                &mut out,
+            );
+            assert!(elided.barriers <= plan.barrier_plan().count() as u64);
+            check_report_shape(&elided, n, p, "random compiled elided");
         }
     }
 }

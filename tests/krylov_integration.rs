@@ -42,7 +42,7 @@ fn gmres_ilu_converges_on_spe4_with_parallel_solves() {
     let f = parallel_iluk(&pool, a, 0, FactorSync::SelfExecuting).unwrap();
     let plan =
         TriangularSolvePlan::new(&f, nprocs, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
-    let m = Preconditioner::Ilu(plan);
+    let m = Preconditioner::ilu(plan).unwrap();
     let b: Vec<f64> = (0..n).map(|i| ((i % 11) as f64) - 5.0).collect();
     let mut x = vec![0.0; n];
     let cfg = KrylovConfig {
@@ -84,7 +84,7 @@ fn executor_choice_does_not_change_convergence() {
         let nprocs = 2;
         let pool = WorkerPool::new(nprocs);
         let plan = TriangularSolvePlan::new(&f, nprocs, kind, Sorting::LocalStriped).unwrap();
-        let m = Preconditioner::Ilu(plan);
+        let m = Preconditioner::ilu(plan).unwrap();
         let mut x = vec![0.0; n];
         let stats = gmres(&pool, &a, &b, &mut x, &m, &cfg).unwrap();
         assert!(stats.converged, "{kind:?}: {stats:?}");
@@ -110,7 +110,7 @@ fn higher_fill_level_reduces_iterations() {
         let f = iluk(&a, level).unwrap();
         let plan =
             TriangularSolvePlan::new(&f, 2, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
-        let m = Preconditioner::Ilu(plan);
+        let m = Preconditioner::ilu(plan).unwrap();
         let mut x = vec![0.0; n];
         let stats = cg(&pool, &a, &b, &mut x, &m, &cfg).unwrap();
         assert!(stats.converged);
@@ -143,14 +143,26 @@ fn amortization_many_solves_one_inspection() {
     let f = iluk(&a, 0).unwrap();
     let nprocs = 2;
     let pool = WorkerPool::new(nprocs);
-    let plan =
-        TriangularSolvePlan::new(&f, nprocs, ExecutorKind::SelfExecuting, Sorting::Global).unwrap();
+    let compiled =
+        TriangularSolvePlan::new(&f, nprocs, ExecutorKind::SelfExecuting, Sorting::Global)
+            .unwrap()
+            .compile()
+            .unwrap();
     let n = a.nrows();
-    let mut work = vec![0.0; n];
+    let mut scratch = compiled.scratch();
+    compiled.load_values(&f, &mut scratch).unwrap();
     for s in 0..10 {
         let b: Vec<f64> = (0..n).map(|i| ((i + s) as f64 * 0.07).sin()).collect();
         let mut x = vec![0.0; n];
-        plan.solve(&pool, &b, &mut x, &mut work);
+        compiled
+            .solve_loaded(
+                Some(&pool),
+                ExecutorKind::SelfExecuting,
+                &b,
+                &mut x,
+                &mut scratch,
+            )
+            .unwrap();
         // L U x == b exactly (triangular solves are direct).
         let lu = f.to_dense_product();
         let r = lu.matvec(&x);
