@@ -153,13 +153,15 @@ fn bench_workload(rt: &Runtime, name: &str, factors: &IluFactors) -> WorkloadRes
 
     let last = rt.solve(factors, &b, &mut x).expect("final solve");
     let plan_phases = {
-        // Phase counts come from a throwaway plan build (cheap vs. clutter
-        // of threading them out of the cache entry).
-        let plan = rtpl::krylov::TriangularSolvePlan::new(
+        // Phase counts of the plan the runtime serves: the same inspection
+        // as its cold path, coalesced at its grain, rebuilt outside the
+        // cache (cheap vs. clutter of threading them out of the entry).
+        let plan = rtpl::krylov::TriangularSolvePlan::new_with_grain(
             factors,
             rt.config().nprocs,
-            ExecutorKind::SelfExecuting,
+            rt.config().policy.unwrap_or(ExecutorKind::SelfExecuting),
             rt.config().sorting,
+            rt.coalesce_grain(),
         )
         .expect("plan");
         plan.num_phases()

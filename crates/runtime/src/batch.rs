@@ -9,8 +9,9 @@
 //! knows more: requests sharing a sparsity structure can share almost all
 //! of that. [`Runtime::submit_batch`] exploits it —
 //!
-//! * jobs are **grouped by [`PatternFingerprint`]** (memoized per factor
-//!   object, so the hash itself is paid once per distinct input, not per
+//! * jobs are **grouped by [`PatternFingerprint`]** (carried by jobs made
+//!   from [`KeyedFactors`], otherwise memoized per factor object, so the
+//!   hash itself is paid at most once per distinct input, not per
 //!   request);
 //! * each group leases **one** worker pool and **one** run scratch, makes
 //!   **one** adaptive-selector decision, and folds **one** averaged
@@ -26,7 +27,8 @@
 //! caches as the single-request front doors:
 //!
 //! * [`JobKind::Solve`] — `L U x = b` for [`IluFactors`] (the
-//!   [`Runtime::solve`] path);
+//!   [`Runtime::solve`] path), or for [`KeyedFactors`], whose structure
+//!   was hashed once when the handle was built;
 //! * [`JobKind::Loop`] — a generic [`LoopBody`] over a cacheable [`LoopSpec`]
 //!   (the analysis product `rtpl::DoConsider::into_spec` emits);
 //! * [`JobKind::LinearLoop`] — the body-free linear recurrence
@@ -86,6 +88,44 @@ impl LoopSpec {
     }
 }
 
+/// ILU factors keyed once: the solve-side twin of [`LoopSpec`]. The
+/// handle hashes the `(L, U)` structure with [`Runtime::solve_key`] when
+/// it is built, and every [`Job::solve_keyed`] made from it reaches the
+/// plan cache without hashing again — a long-lived caller (a Krylov
+/// loop, a server registry) pays the O(nnz) fingerprint once per
+/// factorization instead of once per request.
+///
+/// The key is always computed here, never supplied by the caller: a key
+/// that disagreed with its factors would silently run another pattern's
+/// plan. The factors sit behind an [`Arc`] the handle only ever shares,
+/// so their structure cannot change while the handle lives. Refactorized
+/// values on the same structure make a new handle with the same key, and
+/// it is served from the same cached plan.
+#[derive(Clone, Debug)]
+pub struct KeyedFactors {
+    factors: Arc<IluFactors>,
+    key: PatternFingerprint,
+}
+
+impl KeyedFactors {
+    /// Keys `factors` (an owned [`IluFactors`] or an existing [`Arc`]).
+    pub fn new(factors: impl Into<Arc<IluFactors>>) -> Self {
+        let factors = factors.into();
+        let key = Runtime::solve_key(&factors);
+        KeyedFactors { factors, key }
+    }
+
+    /// The factors.
+    pub fn factors(&self) -> &IluFactors {
+        &self.factors
+    }
+
+    /// The solve-cache key, equal to [`Runtime::solve_key`] of the factors.
+    pub fn key(&self) -> PatternFingerprint {
+        self.key
+    }
+}
+
 /// The placeholder body type of batches that carry no [`JobKind::Loop`] jobs
 /// (`Vec<Job>` defaults to it). Never executed.
 #[derive(Clone, Copy, Debug, Default)]
@@ -114,6 +154,10 @@ pub enum JobKind<'a, B: LoopBody = NoBody> {
     Solve {
         /// The factors; only their *structure* keys the cache.
         factors: &'a IluFactors,
+        /// The factors' [`Runtime::solve_key`], when the job came from a
+        /// keyed source ([`KeyedFactors`], [`crate::CachedIlu`]); `None`
+        /// makes the front door hash the factors.
+        key: Option<PatternFingerprint>,
         /// Right-hand side.
         b: &'a [f64],
         /// Solution output.
@@ -146,10 +190,27 @@ pub enum JobKind<'a, B: LoopBody = NoBody> {
 }
 
 impl<'a, B: LoopBody> Job<'a, B> {
-    /// A triangular-solve job.
+    /// A triangular-solve job; the front door hashes the factors'
+    /// structure to find the plan.
     pub fn solve(factors: &'a IluFactors, b: &'a [f64], x: &'a mut [f64]) -> Self {
+        Self::solve_with_key(factors, None, b, x)
+    }
+
+    /// A triangular-solve job on keyed factors: no hashing at the front
+    /// door.
+    pub fn solve_keyed(factors: &'a KeyedFactors, b: &'a [f64], x: &'a mut [f64]) -> Self {
+        Self::solve_with_key(&factors.factors, Some(factors.key), b, x)
+    }
+
+    /// `key` must be `None` or [`Runtime::solve_key`] of `factors`.
+    pub(crate) fn solve_with_key(
+        factors: &'a IluFactors,
+        key: Option<PatternFingerprint>,
+        b: &'a [f64],
+        x: &'a mut [f64],
+    ) -> Self {
         Job {
-            kind: JobKind::Solve { factors, b, x },
+            kind: JobKind::Solve { factors, key, b, x },
             deadline: None,
         }
     }
@@ -289,14 +350,14 @@ impl Runtime {
     /// requests keep failing trips its circuit breaker.
     pub fn submit<B: LoopBody>(&self, job: Job<'_, B>) -> Result<JobOutcome> {
         let key = match &job.kind {
-            JobKind::Solve { factors, .. } => Self::solve_key(factors),
+            JobKind::Solve { factors, key, .. } => key.unwrap_or_else(|| Self::solve_key(factors)),
             JobKind::Loop { spec, .. } | JobKind::LinearLoop { spec, .. } => spec.key(),
         };
         self.breaker_admit(key)?;
         let token = job.deadline.map(CancelToken::with_deadline);
         let r = match job.kind {
-            JobKind::Solve { factors, b, x } => self
-                .solve_with_cancel(factors, b, x, token.as_ref())
+            JobKind::Solve { factors, b, x, .. } => self
+                .solve_with_cancel(key, factors, b, x, token.as_ref())
                 .map(JobOutcome::Solve),
             JobKind::Loop { spec, body, out } => self
                 .run_spec_with_cancel(spec, body, out, token.as_ref())
@@ -338,14 +399,16 @@ impl Runtime {
             };
         }
 
-        // Group by (class, fingerprint). The fingerprint hash is O(nnz),
-        // so it is memoized per distinct factor *object* — a Zipf batch
-        // replaying K patterns hashes K times, not once per request.
+        // Group by (class, fingerprint). Keyed solve jobs bring their key.
+        // For unkeyed ones the O(nnz) hash is memoized per distinct factor
+        // *object* — a Zipf batch replaying K patterns hashes K times, not
+        // once per request.
         let mut fp_memo: HashMap<*const IluFactors, PatternFingerprint> = HashMap::new();
         let mut group_of: HashMap<(JobClass, u128), usize> = HashMap::new();
         let mut groups: Vec<Group<'_, B>> = Vec::new();
         for (i, job) in jobs.into_iter().enumerate() {
             let (class, key) = match &job.kind {
+                JobKind::Solve { key: Some(key), .. } => (JobClass::Solve, *key),
                 JobKind::Solve { factors, .. } => {
                     let ptr: *const IluFactors = *factors;
                     let key = *fp_memo
@@ -458,7 +521,7 @@ impl Runtime {
         let mut built = false;
         let slot = self.solves.get_or_build(key, || {
             built = true;
-            self.build_solve_entry(first)
+            self.build_solve_entry(key, first)
         });
         let slot = match slot {
             Ok(s) => s,
@@ -474,12 +537,12 @@ impl Runtime {
                     .into_iter()
                     .map(|(i, job)| {
                         let deadline = job.deadline;
-                        let JobKind::Solve { factors, b, x } = job.kind else {
+                        let JobKind::Solve { factors, b, x, .. } = job.kind else {
                             unreachable!("solve group holds solve jobs")
                         };
                         let token = deadline.map(CancelToken::with_deadline);
                         let r = self
-                            .solve_with_cancel(factors, b, x, token.as_ref())
+                            .solve_with_cancel(key, factors, b, x, token.as_ref())
                             .map(JobOutcome::Solve);
                         self.note_job_result(key, &r);
                         (i, r)
@@ -513,7 +576,7 @@ impl Runtime {
         let mut out = Vec::with_capacity(jobs.len());
         for (i, job) in jobs {
             let deadline = job.deadline;
-            let JobKind::Solve { factors, b, x } = job.kind else {
+            let JobKind::Solve { factors, b, x, .. } = job.kind else {
                 unreachable!("solve group holds solve jobs")
             };
             let ptr: *const IluFactors = factors;

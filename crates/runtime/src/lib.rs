@@ -83,13 +83,18 @@
 //!   [`LoopBody`].
 //! * [`Runtime::run_linear`] — cached **compiled** linear-recurrence loop
 //!   (`x(i) = rhs(i) − Σ aₖ·x(depₖ)`) with per-call coefficient gathers.
+//! * [`KeyedFactors`] — factors hashed **once** into their cache key.
+//!   [`Job::solve_keyed`] carries the key to the front door, so a
+//!   long-lived caller's warm solves never re-hash the structure; the
+//!   unkeyed doors ([`Runtime::solve`], [`Job::solve`]) hash once per
+//!   request.
 //! * [`Runtime::preconditioner`] — adapter implementing
-//!   [`rtpl_krylov::Precondition`]; ILU applications enter through
-//!   `submit` like every other request, so Krylov iterations hit the
-//!   cache from the second application on.
+//!   [`rtpl_krylov::Precondition`], keyed once at construction; ILU
+//!   applications enter through `submit` like every other request, so
+//!   Krylov iterations hit the cache from the second application on.
 //!
 //! ```
-//! use rtpl_runtime::{Job, Runtime, RuntimeConfig};
+//! use rtpl_runtime::{Job, KeyedFactors, NoBody, Runtime, RuntimeConfig};
 //! use rtpl_sparse::{gen::laplacian_5pt, ilu0};
 //!
 //! let rt = Runtime::new(RuntimeConfig {
@@ -101,7 +106,7 @@
 //! let (b1, b2) = (vec![1.0; f.n()], vec![2.0; f.n()]);
 //! let (mut x1, mut x2) = (vec![0.0; f.n()], vec![0.0; f.n()]);
 //! // Two same-structure solves in one batch: one plan build, one group.
-//! let out = rt.submit_batch::<rtpl_runtime::NoBody>(vec![
+//! let out = rt.submit_batch::<NoBody>(vec![
 //!     Job::solve(&f, &b1, &mut x1),
 //!     Job::solve(&f, &b2, &mut x2),
 //! ]);
@@ -111,6 +116,11 @@
 //! // Single-job doors remain: a later solve hits the same cache.
 //! let warm = rt.solve(&f, &b1, &mut x1).unwrap();
 //! assert!(warm.cached);
+//! // A keyed handle hashes the structure once, here; its jobs never do.
+//! let keyed = KeyedFactors::new(f);
+//! let out = rt.submit(Job::<NoBody>::solve_keyed(&keyed, &b2, &mut x2)).unwrap();
+//! assert_eq!(out.pattern(), keyed.key());
+//! assert!(out.cached());
 //! ```
 //!
 //! ## Persistence: the memory → disk → cold ladder
@@ -184,7 +194,7 @@ pub mod pools;
 pub mod selector;
 pub mod service;
 
-pub use batch::{BatchOutcome, Job, JobKind, JobOutcome, LoopSpec, NoBody};
+pub use batch::{BatchOutcome, Job, JobKind, JobOutcome, KeyedFactors, LoopSpec, NoBody};
 pub use cache::{CacheStats, PlanCache};
 pub use selector::{AdaptiveState, PolicySelector, ARMS};
 pub use service::{CachedIlu, RunOutcome, Runtime, RuntimeConfig, RuntimeStats, SolveOutcome};

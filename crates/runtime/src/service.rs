@@ -521,9 +521,12 @@ impl Runtime {
     }
 
     /// The cache key of a solve request: the combined (L, U) structure.
-    /// Public so out-of-process callers (the `rtpl-server` wire protocol's
-    /// `WarmCheck`/`SolveByFingerprint` requests) can compute the exact key
-    /// the runtime will use without shipping the factors.
+    /// This is the one hashing function of the solve doors — the unkeyed
+    /// doors call it once per request, [`crate::KeyedFactors`] and
+    /// [`CachedIlu`] once at construction. Public so out-of-process callers
+    /// (the `rtpl-server` wire protocol's `WarmCheck`/`SolveByFingerprint`
+    /// requests) can compute the exact key the runtime will use without
+    /// shipping the factors.
     pub fn solve_key(factors: &IluFactors) -> PatternFingerprint {
         PatternFingerprint::combine(&[
             factors.l.pattern_fingerprint(),
@@ -562,9 +565,14 @@ impl Runtime {
     /// attached, a persisted artifact is decoded instead of re-running the
     /// inspector; otherwise (or when the record is absent, corrupt, or
     /// built for a different processor count) the pattern pays the full
-    /// cold inspection and the fresh plan is spilled write-behind.
-    pub(crate) fn build_solve_entry(&self, factors: &IluFactors) -> Result<CachedSolve> {
-        let key = Self::solve_key(factors).as_u128();
+    /// cold inspection and the fresh plan is spilled write-behind. `key`
+    /// is [`Runtime::solve_key`] of `factors`, computed by the caller.
+    pub(crate) fn build_solve_entry(
+        &self,
+        key: PatternFingerprint,
+        factors: &IluFactors,
+    ) -> Result<CachedSolve> {
+        let key = key.as_u128();
         if let Some(entry) = self.load_solve_entry(key) {
             return Ok(entry);
         }
@@ -866,25 +874,26 @@ impl Runtime {
     /// minimal barrier sets) and predicts every policy's cost; later
     /// requests run immediately under the current best policy.
     pub fn solve(&self, factors: &IluFactors, b: &[f64], x: &mut [f64]) -> Result<SolveOutcome> {
-        self.solve_with_cancel(factors, b, x, None)
+        self.solve_with_cancel(Self::solve_key(factors), factors, b, x, None)
     }
 
-    /// [`Runtime::solve`] with failure containment: a fired `cancel`
+    /// [`Runtime::solve`] under an already computed `key` (the factors'
+    /// [`Runtime::solve_key`]), with failure containment: a fired `cancel`
     /// token (explicit or deadline) or a mid-sweep worker panic comes
     /// back as a typed error for *this* request; the cached plan, the
     /// leased scratch, and the worker pool all stay in service.
     pub(crate) fn solve_with_cancel(
         &self,
+        key: PatternFingerprint,
         factors: &IluFactors,
         b: &[f64],
         x: &mut [f64],
         cancel: Option<&CancelToken>,
     ) -> Result<SolveOutcome> {
-        let key = Self::solve_key(factors);
         let mut built = false;
         let slot = self.solves.get_or_build(key, || {
             built = true;
-            self.build_solve_entry(factors)
+            self.build_solve_entry(key, factors)
         })?;
         let entry = slot.get();
         let kind = self.choose_policy(&entry.adaptive);
@@ -1180,11 +1189,13 @@ impl Runtime {
     }
 
     /// A preconditioner whose ILU applications go through this runtime's
-    /// plan cache — hand it to [`rtpl_krylov::cg`]/`gmres`/`bicgstab`.
+    /// plan cache — hand it to [`rtpl_krylov::cg`]/`gmres`/`bicgstab`. The
+    /// factors are hashed here, once; no application hashes them again.
     pub fn preconditioner<'a>(&'a self, factors: &'a IluFactors) -> CachedIlu<'a> {
         CachedIlu {
             runtime: self,
             factors,
+            key: Self::solve_key(factors),
         }
     }
 
@@ -1250,22 +1261,27 @@ impl std::fmt::Debug for Runtime {
 
 /// An ILU preconditioner application routed through a [`Runtime`]'s plan
 /// cache: every Krylov iteration's two triangular sweeps are cache hits
-/// after the first.
+/// after the first. Keyed once at construction: the factors are borrowed
+/// for the preconditioner's lifetime, so their structure — and with it
+/// the key — cannot change under it.
 pub struct CachedIlu<'a> {
     runtime: &'a Runtime,
     factors: &'a IluFactors,
+    key: PatternFingerprint,
 }
 
 impl Precondition for CachedIlu<'_> {
     fn apply(&self, _pool: &WorkerPool, r: &[f64], z: &mut [f64], _work: &mut [f64]) {
         // The runtime leases its own pools (sized to its plans); the
         // solver's pool keeps doing the doall kernels. Applications enter
-        // through the unified Job front door, like every other request.
+        // through the unified Job front door, like every other request,
+        // carrying the key computed when the preconditioner was built.
+        let job = crate::Job::<crate::NoBody>::solve_with_key(self.factors, Some(self.key), r, z);
         // PANIC: `Precondition::apply` has no error channel; the factors
         // were accepted when this preconditioner was built, so a failure
         // here is unrecoverable mid-iteration.
         self.runtime
-            .submit(crate::Job::<crate::NoBody>::solve(self.factors, r, z))
+            .submit(job)
             .expect("cached ILU application failed");
     }
 }

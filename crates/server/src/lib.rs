@@ -42,12 +42,15 @@
 //!   request is unauthenticated and a drain is irreversible). Values
 //!   travel as raw IEEE-754 bits, so answers are bit-exact with a local
 //!   solve.
-//! * **Factor registry**: `Solve` registers its factors under their solve
-//!   fingerprint; re-shipping a pattern *replaces* them, so refactorized
-//!   values on an unchanged structure are first-class. The registry is
-//!   LRU-bounded ([`ServerConfig::registry_capacity`], mirroring the
-//!   runtime's plan cache) — an evicted pattern answers
-//!   `UNKNOWN_PATTERN` and the client falls back to a full `Solve`.
+//! * **Factor registry**: `Solve` registers its factors as a
+//!   [`rtpl_runtime::KeyedFactors`] handle, hashed once on arrival; both
+//!   `Solve` and `SolveByFingerprint` jobs reach the runtime already
+//!   keyed, so the dispatcher never re-hashes. Re-shipping a pattern
+//!   *replaces* its factors, so refactorized values on an unchanged
+//!   structure are first-class. The registry is LRU-bounded
+//!   ([`ServerConfig::registry_capacity`], mirroring the runtime's plan
+//!   cache) — an evicted pattern answers `UNKNOWN_PATTERN` and the client
+//!   falls back to a full `Solve`.
 //! * **Admission control** ([`Server`]): a per-connection in-flight quota
 //!   and a bounded queue. Both reject with [`proto::Response::RetryAfter`]
 //!   — typed, immediate, and carrying a suggested delay — instead of

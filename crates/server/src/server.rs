@@ -23,7 +23,7 @@
 use crate::histogram::Histogram;
 use crate::proto::{self, err_code, Request, Response, RetryReason, WarmLevel, REQUEST_KINDS};
 use rtpl_runtime::selector::arm_index;
-use rtpl_runtime::{Job, NoBody, Runtime, RuntimeConfig, RuntimeError};
+use rtpl_runtime::{Job, KeyedFactors, NoBody, Runtime, RuntimeConfig, RuntimeError};
 use rtpl_sparse::failpoint;
 use rtpl_sparse::{IluFactors, PatternFingerprint};
 use std::collections::{HashMap, VecDeque};
@@ -180,7 +180,7 @@ impl Metrics {
     }
 }
 
-/// Bounded map from solve fingerprint to the factors most recently
+/// Bounded map from solve fingerprint to the keyed factors most recently
 /// shipped for that pattern — what `SolveByFingerprint` solves against.
 ///
 /// Two properties matter for correctness and memory:
@@ -201,7 +201,7 @@ struct Registry {
 }
 
 struct RegistryEntry {
-    factors: Arc<IluFactors>,
+    factors: KeyedFactors,
     last_used: u64,
 }
 
@@ -220,10 +220,12 @@ impl Registry {
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// Registers (or re-registers) a pattern's factors; the shipped values
-    /// always replace whatever the pattern held before. Inserting a new
-    /// pattern at capacity evicts the least-recently-used entry first.
-    fn insert(&self, key: u128, factors: &Arc<IluFactors>) {
+    /// Registers (or re-registers) a pattern's factors under their own
+    /// key; the shipped values always replace whatever the pattern held
+    /// before. Inserting a new pattern at capacity evicts the
+    /// least-recently-used entry first.
+    fn insert(&self, factors: &KeyedFactors) {
+        let key = factors.key().as_u128();
         let tick = self.tick();
         let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
         if !map.contains_key(&key) && map.len() >= self.capacity {
@@ -236,19 +238,19 @@ impl Registry {
         map.insert(
             key,
             RegistryEntry {
-                factors: Arc::clone(factors),
+                factors: factors.clone(),
                 last_used: tick,
             },
         );
     }
 
     /// The registered factors, bumping the LRU clock.
-    fn get(&self, key: u128) -> Option<Arc<IluFactors>> {
+    fn get(&self, key: u128) -> Option<KeyedFactors> {
         let tick = self.tick();
         let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
         map.get_mut(&key).map(|e| {
             e.last_used = tick;
-            Arc::clone(&e.factors)
+            e.factors.clone()
         })
     }
 
@@ -267,9 +269,10 @@ impl Registry {
 
 /// One admitted solve job, owned by the queue (all borrows end at the
 /// reader; the dispatcher rebuilds borrowed [`Job`]s locally per batch).
+/// The factors arrive keyed, so the dispatcher never hashes them.
 struct QueuedSolve {
     id: u64,
-    factors: Arc<IluFactors>,
+    factors: KeyedFactors,
     b: Vec<f64>,
     reply: mpsc::Sender<(u64, Response)>,
     inflight: Arc<AtomicUsize>,
@@ -779,9 +782,9 @@ fn reader_loop(
                         // entry is re-pointed — never a stale
                         // first-shipped copy (the runtime supports
                         // refactorized values on an unchanged pattern).
-                        let key = Runtime::solve_key(&factors).as_u128();
-                        let factors = Arc::new(factors);
-                        inner.registry.insert(key, &factors);
+                        // Keying hashes the structure, once per shipment.
+                        let factors = KeyedFactors::new(factors);
+                        inner.registry.insert(&factors);
                         answered_inline = !submit(inner, &tx, id, kind_idx, factors, b, t0);
                     }
                 }
@@ -791,8 +794,9 @@ fn reader_loop(
                     let _ = tx.send((id, resp));
                 }
                 Ok(factors) => {
-                    if factors.n() != b.len() {
-                        let _ = tx.send((id, dimension_error(factors.n(), b.len())));
+                    let n = factors.factors().n();
+                    if n != b.len() {
+                        let _ = tx.send((id, dimension_error(n, b.len())));
                     } else {
                         answered_inline = !submit(inner, &tx, id, kind_idx, factors, b, t0);
                     }
@@ -853,7 +857,7 @@ fn validate_solve(factors: &IluFactors, b: &[f64]) -> Result<(), Response> {
     Ok(())
 }
 
-fn lookup(inner: &Inner, key: PatternFingerprint) -> Result<Arc<IluFactors>, Response> {
+fn lookup(inner: &Inner, key: PatternFingerprint) -> Result<KeyedFactors, Response> {
     inner
         .registry
         .get(key.as_u128())
@@ -872,7 +876,7 @@ fn submit(
     tx: &mpsc::Sender<(u64, Response)>,
     id: u64,
     kind_idx: usize,
-    factors: Arc<IluFactors>,
+    factors: KeyedFactors,
     b: Vec<f64>,
     t0: Instant,
 ) -> bool {
@@ -978,12 +982,15 @@ fn dispatcher_loop(inner: &Arc<Inner>) {
         if batch.is_empty() {
             continue;
         }
-        let mut xs: Vec<Vec<f64>> = batch.iter().map(|j| vec![0.0; j.factors.n()]).collect();
+        let mut xs: Vec<Vec<f64>> = batch
+            .iter()
+            .map(|j| vec![0.0; j.factors.factors().n()])
+            .collect();
         let jobs: Vec<Job<'_, NoBody>> = batch
             .iter()
             .zip(xs.iter_mut())
             .map(|(j, x)| {
-                let job = Job::solve(&j.factors, &j.b, x);
+                let job = Job::solve_keyed(&j.factors, &j.b, x);
                 match j.deadline {
                     Some(d) => job.with_deadline(d),
                     None => job,
